@@ -11,9 +11,9 @@ batch jobs, one repetition after another, from this single process:
 
   figures-all  `repro all --n 12 --csv DIR`: every table and figure plus
                the QoE table (the only workload where the session cache
-               serves hits). Its work varies with the seed by several
-               percent, so untraced runs take eight consecutive seeds
-               starting at the workload seed, one per repetition.
+               serves hits). Its work and peak memory vary with the seed
+               (see ROTATION), so untraced runs take eight consecutive
+               seeds starting at the workload seed, one per repetition.
   qoe-lrd      `repro ext-qoe --n 12 --csv DIR` at four consecutive seeds
                starting at the workload seed: DASH under LRD cross-traffic,
                loss recovery and cross-traffic events dominate; the cache
@@ -23,7 +23,9 @@ batch jobs, one repetition after another, from this single process:
 1) at some seeds, and a workload must not fail. The traced run still
 times `run_campaign` through the probe.
 
-Every process runs with `--jobs` equal to the usable core count.
+Every process runs with `--jobs` equal to the usable core count and
+without the program's `VSTREAM_*` environment switches (`VSTREAM_WALL=off`
+would zero the ledger's timings, `VSTREAM_QUEUE` changes the event queue).
 
 `--trace 0` (untraced: no `--metrics`, `--progress` or `--trace-dir`)
 repeats the workload until `--seconds` are used (at least three times, and
@@ -34,32 +36,40 @@ end-to-end metrics:
   cpu_s        user + sys CPU of its processes (kernel rusage);
   peak_rss_mb  kernel high-water resident set of its largest process;
   setup_s      spawn to the first `==>` header, the median over every
-               process spawned, plus extra spawns stopped at that header.
+               process spawned, plus extra spawns stopped at that header
+               before each repetition (so the samples span the run).
 
-`--trace 1` runs the workload untraced (for the overhead baseline) and
-twice with `--metrics`, checks that the two ledgers agree on the
-deterministic work counts (sessions, events, packets, segments), runs the
-probe, and reports the `per_layer` metrics of BENCHMARK.json. Layers a
-workload does not run report 0 there.
+`--trace 1` runs the probe, then alternates untraced and `--metrics`
+repetitions at the workload seed (at least two of each) until `--seconds`
+are used. It checks that every metered ledger gives the same
+deterministic work counts (sessions, events, packets, segments) and
+reports the `per_layer` metrics of BENCHMARK.json; the tracing overhead
+is the median ratio of each metered repetition's wall time to the
+untraced one just before it, so host drift between minutes cancels.
+Layers a workload does not run report 0 there.
 
 Every repetition's outputs are checked: each CSV and the normalised
 stdout, against the SHA-256 digests in `perfbench/refs.json`. A process
-that exits nonzero fails all its outputs. At a seed with no recorded
-reference the outputs must instead exist and repeat wherever the seed
-repeats within the run. `failed_frac` (failed / checked) is printed with
-the metrics; the last line of stdout is the JSON result
+that exits nonzero fails all its outputs. Each output must also have the
+recorded shape (a CSV's header and row widths, stdout's title lines),
+which is the same at every seed. At a seed with no recorded content
+digest the outputs must instead repeat wherever the seed repeats within
+the run. `failed_frac` (failed / checked) is printed with the metrics; the
+last line of stdout is the JSON result
 `{"correct", "attempted", "failed", "metrics"}`.
 
 `--record-refs SEEDS` (e.g. `2026-2033,0-63`) runs `repro all` and
-`repro ext-qoe` once per listed program seed and records their digests in
-refs.json; re-record only when a change alters the program's output on
-purpose.
+`repro ext-qoe` once per listed program seed, checks that every seed
+shares one shape and that seeds recorded before still give their digests,
+and records the new ones in refs.json. When a change alters the program's
+output on purpose, delete the entries and record them again.
 """
 
 import argparse
 import hashlib
 import json
 import os
+import re
 import select
 import shutil
 import signal
@@ -77,13 +87,14 @@ SPEC = ROOT / "BENCHMARK.json"
 WORKLOADS = ("figures-all", "qoe-lrd")
 DEFAULT_SEED = 2026
 QOE_SEEDS = 4
-# `repro all`'s work (and peak memory) depends on its seed by several
-# percent, so untraced runs of figures-all rotate through this many
-# consecutive seeds, in whole rounds, to keep that out of the spread
-# between workload seeds.
+# `repro all`'s work and peak memory depend on its seed (between quartiles
+# of seeds 1-10: events 8%, peak RSS 18%, against a bound of 24%; see
+# `figures_all_per_seed` in baseline.json), so untraced runs of figures-all
+# rotate through this many consecutive seeds, in whole rounds, to keep that
+# out of the spread between workload seeds.
 ROTATION = {"figures-all": 8}
 MIN_REPS = 3
-SETUP_SPAWNS = 15
+SETUP_SPAWNS = 10  # extra setup samples before each untraced repetition
 # A process still running PROC_TIMEOUT_S after its spawn, or at the run's
 # deadline RUN_LIMIT_S after measuring began, is killed and its outputs
 # count as failed; no repetition starts that would end past MEASURE_CAP_S.
@@ -104,6 +115,11 @@ def fail(msg, code=2):
 
 def jobs():
     return len(os.sched_getaffinity(0))
+
+
+# The environment of every measured process: the caller's, without the
+# program's own switches.
+CHILD_ENV = {k: v for k, v in os.environ.items() if not k.startswith("VSTREAM_")}
 
 
 # --------------------------------------------------------------- build ---
@@ -166,7 +182,8 @@ def spawn(argv, stop_at_header=False):
     through `os.kill`, not `Popen.kill`, which may reap the child first
     and leave `wait4` without its rusage."""
     t0 = time.perf_counter()
-    p = subprocess.Popen(argv, cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    p = subprocess.Popen(argv, cwd=ROOT, env=CHILD_ENV, stdout=subprocess.PIPE,
+                         stderr=subprocess.DEVNULL)
     fd = p.stdout.fileno()
     setup, out = None, b""
     try:
@@ -192,14 +209,31 @@ def spawn(argv, stop_at_header=False):
     return wall, ru.ru_utime + ru.ru_stime, ru.ru_maxrss, setup, out, p.returncode
 
 
+NUMBER = re.compile(rb"\d+(?:\.\d+)?")
+
+
+def shape(name, content):
+    """What an output looks like at every seed: a CSV's header and the set
+    of field counts of its rows; stdout's `==>` and `[figure]` title lines,
+    in order, each number replaced by 0. It checks outputs at seeds without
+    a recorded reference: a missing figure or a changed column changes it."""
+    lines = content.splitlines()
+    if name.endswith(".csv"):
+        forms = lines[:1] + sorted({b"%d" % len(line.split(b",")) for line in lines[1:]})
+    else:
+        forms = [NUMBER.sub(b"0", line) for line in lines if line.startswith((b"==>", b"["))]
+    return b"\n".join(forms)
+
+
 def digests(proc, stdout):
-    """SHA-256 (first 64 bits, hex) of every output of one process, keyed
-    by output name."""
+    """(content digest, shape digest) of every output of one process, keyed
+    by output name; each digest is the first 64 bits of a SHA-256, in hex."""
     out = {"stdout": stdout.replace(str(proc.out).encode(), b"<out>")}
     if proc.out.is_dir():
         for f in sorted(proc.out.iterdir()):
             out[f.name] = f.read_bytes()
-    return {k: hashlib.sha256(v).hexdigest()[:16] for k, v in out.items()}
+    sha = lambda b: hashlib.sha256(b).hexdigest()[:16]
+    return {k: (sha(v), sha(shape(k, v))) for k, v in out.items()}
 
 
 # ------------------------------------------------------------- checking ---
@@ -216,26 +250,28 @@ class Checker:
         self.unreferenced = []
 
     def expected(self, kind, seed):
-        """The digests `kind` must produce at `seed` (None where any
-        content passes), and whether they are recorded references."""
+        """The content digests `kind` must produce at `seed` (None where any
+        content passes), whether they are recorded references, and the
+        shape digests it must produce at every seed."""
         if kind not in self.refs:
             fail(f"refs.json has no outputs for {kind}; record them first", code=1)
         names, recorded = self.refs[kind]["names"], self.refs[kind]["seeds"]
+        shapes = dict(zip(names, self.refs[kind]["shapes"].split()))
         if str(seed) in recorded:
-            return dict(zip(names, recorded[str(seed)].split())), True
-        # Unreferenced seed: the output names do not depend on the seed,
-        # their contents must repeat across this run's repetitions.
-        return self.first.get((kind, seed), dict.fromkeys(names)), False
+            return dict(zip(names, recorded[str(seed)].split())), True, shapes
+        # Unreferenced seed: the output names and shapes do not depend on
+        # the seed, the contents must repeat across this run's repetitions.
+        return self.first.get((kind, seed), dict.fromkeys(names)), False, shapes
 
     def check(self, proc, got, exit_code):
-        want, referenced = self.expected(proc.kind, proc.seed)
+        want, referenced, shapes = self.expected(proc.kind, proc.seed)
         if not referenced and (proc.kind, proc.seed) not in self.first:
             self.unreferenced.append(f"{proc.kind} {proc.seed}")
             if exit_code == 0:
-                self.first[(proc.kind, proc.seed)] = got
+                self.first[(proc.kind, proc.seed)] = {k: v[0] for k, v in got.items()}
         bad = [name for name, digest in want.items()
-               if exit_code != 0 or name not in got
-               or (digest is not None and got[name] != digest)]
+               if exit_code != 0 or name not in got or got[name][1] != shapes[name]
+               or (digest is not None and got[name][0] != digest)]
         self.attempted += len(want)
         self.failed += len(bad)
         if bad:
@@ -368,7 +404,8 @@ def layer_metrics(names, baseline, traced, probe):
         "cache.hit_frac": frac(c["cache_hits"], lookups),
         "cache.retained_mb": c["cache_bytes_retained"] / 1e6,
         "analysis.peak_flowstate_kb": g["peak_flowstate_bytes"] / 1e3,
-        "obs.trace_overhead_frac": frac(median([r.wall for r in traced]), wall) - 1.0,
+        "obs.trace_overhead_frac": median([t.wall / b.wall
+                                           for b, t in zip(baseline, traced)]) - 1.0,
     }
     v.update(probe)
     for name in names:
@@ -391,7 +428,7 @@ def run_probe(probe, seed, tmp):
     argv = [str(probe), "--seed", str(seed), "--jobs", str(jobs()),
             "--campaign-ledger", str(ledger)]
     try:
-        r = subprocess.run(argv, cwd=ROOT, stdout=subprocess.PIPE,
+        r = subprocess.run(argv, cwd=ROOT, env=CHILD_ENV, stdout=subprocess.PIPE,
                            timeout=max(1.0, deadline - time.perf_counter()))
     except subprocess.TimeoutExpired:
         return None
@@ -412,6 +449,16 @@ def show(name, value, unit, extra=""):
     print(f"  {name:<34} {value:>14.6g} {unit:<8} {extra}")
 
 
+def spread_note(xs):
+    """Sample count, the highest of p75/p90/p95/p99 that has at least ten
+    samples beyond it, and the extremes."""
+    parts = [f"n={len(xs)}"]
+    q = next((q for q in (99, 95, 90, 75) if len(xs) * (100 - q) >= 1000), None)
+    if q:
+        parts.append(f"p{q} {statistics.quantiles(xs, n=100)[q - 1]:.4g}")
+    return f"({', '.join(parts)}, min {min(xs):.4g}, max {max(xs):.4g})"
+
+
 def measure(args, repro, probe, tmp):
     e2e_units, layer_units = load_spec()
     refs = json.loads(REFS.read_text()).get("outputs", {})
@@ -425,8 +472,14 @@ def measure(args, repro, probe, tmp):
     started = time.perf_counter()
     correct = True
     if not args.trace:
-        setups = setup_spawns(workload, repro, seed, tmp, SETUP_SPAWNS)
-        reps = reps_until(started, args.seconds, [], rep, rotation)
+        setups = []
+
+        def sampled_rep(i):
+            setups.extend(setup_spawns(workload, repro, seed + i % rotation, tmp,
+                                       SETUP_SPAWNS))
+            return rep(i)
+
+        reps = reps_until(started, args.seconds, [], sampled_rep, rotation)
         samples = {
             "wall_s": [r.wall for r in reps],
             "cpu_s": [r.cpu for r in reps],
@@ -439,21 +492,21 @@ def measure(args, repro, probe, tmp):
         for name, unit in e2e_units.items():
             xs = samples[name]
             metrics[name] = {"value": median(xs), "unit": unit}
-            show(name, median(xs), unit, f"(n={len(xs)}, min {min(xs):.4g}, max {max(xs):.4g})")
+            show(name, median(xs), unit, spread_note(xs))
     else:
-        baseline = [rep()]
-        traced = [rep(metrics=True), rep(metrics=True)]
         probe_values = run_probe(probe, seed, tmp)
-        reps_until(started, args.seconds, baseline, lambda _: rep())
+        reps = reps_until(started, args.seconds, [],
+                          lambda i: rep(metrics=i % 2 == 1), rounds_of=2)
+        baseline, traced = reps[0::2], reps[1::2]
         counts = [work_counts(r) for r in traced]
-        if probe_values is None or None in counts:
+        if probe_values is None or len(counts) < 2 or None in counts:
             correct = False
             print("  the probe or a metered run failed")
-        elif counts[0] != counts[1]:
+        elif len(set(counts)) != 1:
             correct = False
             print(f"  work counts differ between the traced runs: {counts}")
         else:
-            print("  work counts (equal in both traced runs): "
+            print(f"  work counts (equal in all {len(traced)} traced runs): "
                   + ", ".join(f"{k} {v}" for k, v in zip(WORK_COUNTS, counts[0])))
         values = {}
         if correct:
@@ -468,7 +521,7 @@ def measure(args, repro, probe, tmp):
             show(name, value, unit)
     if checker.unreferenced:
         print("  note: no recorded reference at " + ", ".join(checker.unreferenced)
-              + "; checking presence and repeatability only")
+              + "; checking shape and repeatability only")
     for note in dict.fromkeys(checker.notes):
         print(f"  note: {note}")
     ff = frac(checker.failed, checker.attempted)
@@ -487,31 +540,39 @@ def parse_seeds(text):
 
 
 def record_refs(seeds, repro, tmp):
-    """Runs each workload's first process once per program seed and stores
-    its output digests."""
+    """Runs each workload's first process once per program seed and records
+    its output digests, and the shape digests, which every seed must share.
+    A seed recorded before must reproduce its digests; to record an
+    intended change of output, delete the seeds' entries first."""
     doc = json.loads(REFS.read_text()) if REFS.is_file() else {}
     outputs = doc.setdefault("outputs", {})
-    recorded = lambda kind, seed: str(seed) in outputs.get(kind, {}).get("seeds", {})
     for workload in WORKLOADS:
         for seed in seeds:
             proc = plan(workload, repro, seed, tmp / "record")[0]
-            if recorded(proc.kind, proc.seed):
-                continue
             stdout, code = spawn(proc.argv)[4:]
             got = digests(proc, stdout)
-            shutil.rmtree(tmp / "record")
-            entry = outputs.setdefault(proc.kind, {"names": sorted(got), "seeds": {}})
-            if sorted(got) != entry["names"]:
-                fail(f"{proc.kind} seed {seed} wrote {sorted(got)}, "
-                     f"other seeds {entry['names']}", code=1)
-            entry["seeds"][str(seed)] = " ".join(got[n] for n in entry["names"])
+            shutil.rmtree(tmp / "record", ignore_errors=True)
+            names = sorted(got)
+            content = " ".join(got[n][0] for n in names)
+            shapes = " ".join(got[n][1] for n in names)
+            entry = outputs.setdefault(proc.kind, {"names": names, "seeds": {}})
+            if names != entry["names"]:
+                fail(f"{proc.kind} seed {seed} wrote {names}, other seeds {entry['names']}",
+                     code=1)
+            if entry.setdefault("shapes", shapes) != shapes:
+                fail(f"{proc.kind} seed {seed}: outputs differ in shape from other seeds'",
+                     code=1)
+            if entry["seeds"].setdefault(str(seed), content) != content:
+                fail(f"{proc.kind} seed {seed} no longer reproduces its recorded outputs",
+                     code=1)
             print(f"recorded {proc.kind} seed {seed}"
                   + (f" (exit {code}: its outputs will count as failed)" if code else ""),
                   file=sys.stderr)
     for kind in sorted(outputs):
         entry = outputs.pop(kind)
-        entry["seeds"] = dict(sorted(entry["seeds"].items(), key=lambda kv: int(kv[0])))
-        outputs[kind] = entry
+        outputs[kind] = {"names": entry["names"], "shapes": entry["shapes"],
+                         "seeds": dict(sorted(entry["seeds"].items(),
+                                              key=lambda kv: int(kv[0])))}
     REFS.write_text(json.dumps(doc, indent=1) + "\n")
 
 
