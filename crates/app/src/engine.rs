@@ -229,12 +229,9 @@ pub struct Engine {
     /// filled by [`Engine::tap`] while an event executes, drained to the
     /// sink in capture order after each event.
     tap_buf: Vec<TapPacket>,
-    /// True while [`Engine::run_observed`] is feeding a sink.
+    /// True while [`Engine::run_observed`] is feeding a sink; the trace is
+    /// retained only when it is not.
     tap_stream: bool,
-    /// Whether tapped packets are retained in [`Engine::trace`]. Always true
-    /// for [`Engine::run`]; streaming callers may turn the trace off
-    /// entirely and fold on the fly.
-    keep_trace: bool,
     /// Packets seen by the tap (equals `trace.len()` when retaining).
     packets_tapped: u64,
 }
@@ -283,7 +280,6 @@ impl Engine {
             initial_trace_capacity: trace_capacity,
             tap_buf: Vec::new(),
             tap_stream: false,
-            keep_trace: true,
             packets_tapped: 0,
         }
     }
@@ -304,7 +300,7 @@ impl Engine {
     /// `cfg.sources` superposed Pareto-ON / exponential-OFF sources. Each
     /// source's randomness comes from `derive_seed(seed, [tag, index])`, so
     /// the aggregate is a pure function of `(cfg, seed)` — identical across
-    /// `--jobs` counts, streaming mode, and cache replay — and the engine's
+    /// `--jobs` counts and with or without a live tap — and the engine's
     /// main RNG (packet loss, strategy jitter) is untouched.
     ///
     /// # Panics
@@ -563,31 +559,27 @@ impl Engine {
     /// event queue, or [`Engine::stop`].
     pub fn run<L: SessionLogic>(&mut self, logic: &mut L) {
         self.tap_stream = false;
-        self.keep_trace = true;
         self.run_inner(logic, &mut NullSink);
     }
 
-    /// Like [`Engine::run`], but additionally streams every tapped packet
-    /// into `sink`, in capture order, as the session executes. With
-    /// `keep_trace = false` the engine never materialises a [`Trace`] at
-    /// all — the sink is the only consumer — which is the O(flows)
-    /// streaming mode of the figure drivers; with `keep_trace = true` the
-    /// retained trace and the sink see identical packet streams.
+    /// Like [`Engine::run`], but streams every tapped packet into `sink`,
+    /// in capture order, as the session executes, instead of retaining it:
+    /// the engine never materialises a [`Trace`] — the sink is the only
+    /// consumer, so session state stays O(flows). The sink sees exactly
+    /// the packet stream [`Engine::run`] would have recorded.
     pub fn run_observed<L: SessionLogic, S: PacketSink + ?Sized>(
         &mut self,
         logic: &mut L,
         sink: &mut S,
-        keep_trace: bool,
     ) {
         self.tap_stream = true;
-        self.keep_trace = keep_trace;
         self.run_inner(logic, sink);
     }
 
     fn run_inner<L: SessionLogic, S: PacketSink + ?Sized>(&mut self, logic: &mut L, sink: &mut S) {
         // Deferred trace allocation: only a session that retains its
         // capture reserves the columns, and only once per session.
-        if self.keep_trace && self.trace.capacity() == 0 && self.initial_trace_capacity > 0 {
+        if !self.tap_stream && self.trace.capacity() == 0 && self.initial_trace_capacity > 0 {
             self.trace = Trace::with_capacity(self.initial_trace_capacity);
         }
         if self.cross_traffic.is_some() {
@@ -691,18 +683,14 @@ impl Engine {
     }
 
     /// The capture tap: every segment crossing the client NIC lands here.
-    /// Records into the retained trace, stages for the streaming sink, or
-    /// both — the two consumers always see the same packet stream.
+    /// Stages it for the streaming sink, or records it into the retained
+    /// trace — the two consumers always see the same packet stream.
     #[inline]
     fn tap(&mut self, at: SimTime, dir: TapDirection, seg: &Segment) {
         self.packets_tapped += 1;
         if self.tap_stream {
-            let p = TapPacket::new(at, dir, seg);
-            if self.keep_trace {
-                self.trace.record(&p);
-            }
-            self.tap_buf.push(p);
-        } else if self.keep_trace {
+            self.tap_buf.push(TapPacket::new(at, dir, seg));
+        } else {
             self.trace.push(at, dir, *seg);
         }
     }
@@ -1075,7 +1063,7 @@ mod tests {
         }
         // The Residence path has loss, so retransmissions and SACKs cross
         // the tap too.
-        let run = |streamed: bool, keep_trace: bool| {
+        let run = |streamed: bool| {
             let mut eng = Engine::new(
                 NetworkProfile::Residence.build_path(),
                 11,
@@ -1088,22 +1076,19 @@ mod tests {
             };
             let mut sink = Collect(Vec::new());
             if streamed {
-                eng.run_observed(&mut logic, &mut sink, keep_trace);
+                eng.run_observed(&mut logic, &mut sink);
             } else {
                 eng.run(&mut logic);
                 eng.trace().replay(&mut sink);
             }
             (sink.0, eng.trace().len())
         };
-        let (batch, batch_len) = run(false, true);
-        let (streamed, kept_len) = run(true, true);
-        let (streamed_no_trace, no_trace_len) = run(true, false);
+        let (batch, batch_len) = run(false);
+        let (streamed, streamed_len) = run(true);
         assert!(!batch.is_empty());
         assert_eq!(batch.len(), batch_len);
         assert_eq!(batch, streamed, "live sink must see what the trace stores");
-        assert_eq!(batch, streamed_no_trace, "trace retention must not change the stream");
-        assert_eq!(kept_len, batch_len);
-        assert_eq!(no_trace_len, 0, "keep_trace=false must not materialise a trace");
+        assert_eq!(streamed_len, 0, "a streamed session must not materialise a trace");
     }
 
     #[test]

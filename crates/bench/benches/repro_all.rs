@@ -1,13 +1,9 @@
 //! End-to-end benchmark: the full `repro all` figure/table suite at the
-//! `repro` binary's default seed and sample size, with and without the
-//! cross-figure session cache.
+//! `repro` binary's default seed and sample size.
 //!
 //! The per-figure benchmarks in `figures.rs` deliberately run reduced
 //! sample sizes, so this is the only benchmark whose wall clock tracks
-//! what a user actually waits for. The two variants measure the session
-//! cache's end-to-end effect: `session_cache` brackets each iteration
-//! with a fresh `cache::install()`/`uninstall()` (exactly how the binary
-//! runs, cold store included), `no_cache` is the `--no-cache` path.
+//! what a user actually waits for.
 //!
 //! One iteration is a whole suite (~6 s), so the group uses two
 //! single-iteration samples — this bench is a trajectory recorder, not a
@@ -15,7 +11,7 @@
 //!
 //! ```text
 //! cargo bench -p vstream-bench --bench repro_all -- \
-//!     --json BENCH_repro_all.json --label post-session-cache
+//!     --json BENCH_repro_all.json --label <label>
 //! ```
 
 use std::hint::black_box;
@@ -55,6 +51,7 @@ fn repro_all_suite(seed: u64, n: usize) {
     black_box(f::ext_congestion_ablation(seed));
     black_box(f::ext_third_moment(seed, 4000.0));
     black_box(f::ext_aggregate_packet_level(seed, 40, 1200.0));
+    black_box(f::ext_qoe_load_sweep(seed, n.min(6)));
 }
 
 fn bench_repro_all(c: &mut Criterion) {
@@ -63,14 +60,7 @@ fn bench_repro_all(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(12))
         .warm_up_time(Duration::from_millis(1));
 
-    g.bench_function("session_cache", |b| {
-        b.iter(|| {
-            vstream::cache::install();
-            repro_all_suite(2026, 12);
-            vstream::cache::uninstall();
-        })
-    });
-    g.bench_function("no_cache", |b| b.iter(|| repro_all_suite(2026, 12)));
+    g.bench_function("suite", |b| b.iter(|| repro_all_suite(2026, 12)));
     g.finish();
 }
 

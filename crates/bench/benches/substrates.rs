@@ -108,7 +108,7 @@ fn bench_analysis(c: &mut Criterion) {
     g.finish();
 }
 
-/// Pack/unpack of the retained-trace format the session cache stores: the
+/// Pack/unpack of the delta-compressed trace format (`PackedTrace`): the
 /// same paced capture the analysis benches scan, through a full
 /// compress/decompress cycle. The bytes-per-record line printed after the
 /// group is the figure DESIGN.md quotes for the packed format.
@@ -193,14 +193,13 @@ fn bench_sessions_per_sec(c: &mut Criterion) {
     }
 }
 
-/// The streaming query path against the batch path, over the same paced
-/// 8-session fan-out as the `parallel` group and the fold set the
-/// steady-state figures use (ON/OFF + phases). Both modes produce identical
-/// replies; the rows measure what trace-free execution costs (or saves) in
-/// wall clock. The peak-memory lines printed after the group are the
-/// `peak_trace_bytes` / `peak_flowstate_bytes` comparison DESIGN.md quotes.
+/// The query path over the same paced 8-session fan-out as the `parallel`
+/// group and the fold set the steady-state figures use (ON/OFF + phases):
+/// every session folds its packets on the live tap and retains no trace.
+/// The peak-memory line printed after the group is the
+/// `peak_trace_bytes` / `peak_flowstate_bytes` pair DESIGN.md quotes.
 fn bench_streaming_query(c: &mut Criterion) {
-    use vstream::{query_many_jobs, set_streaming, SessionQuery};
+    use vstream::{query_many_jobs, SessionQuery};
     use vstream_obs::{collector, Gauge};
 
     const SESSIONS: u64 = 8;
@@ -221,32 +220,21 @@ fn bench_streaming_query(c: &mut Criterion) {
     {
         let mut g = c.benchmark_group("streaming");
         g.sample_size(10).measurement_time(Duration::from_secs(20)).warm_up_time(Duration::from_secs(1));
-        g.bench_function("query_8_sessions_batch", |b| {
-            set_streaming(false);
-            b.iter(|| black_box(query_many_jobs(black_box(&specs), jobs, &query)))
-        });
         g.bench_function("query_8_sessions_streaming", |b| {
-            set_streaming(true);
-            b.iter(|| black_box(query_many_jobs(black_box(&specs), jobs, &query)));
-            set_streaming(false);
+            b.iter(|| black_box(query_many_jobs(black_box(&specs), jobs, &query)))
         });
         g.finish();
     }
-    // Peak-memory report: one metered pass per mode. `wall = true` keeps the
+    // Peak-memory report from one metered pass. `wall = true` keeps the
     // execution-dependent gauges the byte-comparable ledgers zero out.
-    for streaming in [false, true] {
-        collector::install(true);
-        set_streaming(streaming);
-        black_box(query_many_jobs(&specs, jobs, &query));
-        set_streaming(false);
-        let ledger = collector::take().expect("collector installed");
-        println!(
-            "streaming/peak_bytes[{}]: trace={} flowstate={}",
-            if streaming { "streaming" } else { "batch" },
-            ledger.totals.gauge(Gauge::PeakTraceBytes),
-            ledger.totals.gauge(Gauge::PeakFlowstateBytes),
-        );
-    }
+    collector::install(true);
+    black_box(query_many_jobs(&specs, jobs, &query));
+    let ledger = collector::take().expect("collector installed");
+    println!(
+        "streaming/peak_bytes[streaming]: trace={} flowstate={}",
+        ledger.totals.gauge(Gauge::PeakTraceBytes),
+        ledger.totals.gauge(Gauge::PeakFlowstateBytes),
+    );
 }
 
 /// Flight-recorder overhead on the paced 8-session fan-out (the same specs
@@ -308,8 +296,7 @@ fn bench_abr(c: &mut Criterion) {
             NetworkProfile::Home,
             seed,
             SimDuration::from_secs(180),
-        )
-        .shared();
+        );
         match cross {
             Some(c) => spec.with_lrd_cross(c),
             None => spec,

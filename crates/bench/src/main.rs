@@ -9,8 +9,6 @@
 //! repro all --metrics m.json      # also write the telemetry ledger
 //! repro all --metrics-summary     # print the ledger as human tables
 //! repro all --progress            # per-figure timing lines on stderr
-//! repro all --no-cache            # re-simulate duplicate sessions
-//! repro all --streaming           # fold packets live, retain no traces
 //! repro fig4 --trace-dir traces/  # dump per-session flight-recorder files
 //! repro all --trace-dir traces/ --trace-anomalies   # anomalous sessions only
 //! repro campaign --viewers 1000000 --progress       # hybrid capacity plan
@@ -23,19 +21,14 @@
 //! (`VSTREAM_WALL=off`), and enabling it never changes the figures —
 //! instrumentation is output-neutral by construction.
 //!
-//! Sessions are memoized across figures by the `vstream::cache` session
-//! cache (on by default; sessions are pure functions of their spec, so the
-//! figures are byte-identical either way — `scripts/check_determinism.sh`
-//! holds this). `--no-cache` is the escape hatch that trades the wall-clock
-//! win back for the memory the cache retains.
+//! Every session streams its packets once through the analysis folds its
+//! figure asked for, on the engine's live tap (`vstream::query`), and
+//! retains no packet trace: a worker's peak memory is its fold state
+//! (`peak_flowstate_bytes` in the ledger), and `peak_trace_bytes` stays 0.
 //!
-//! `--streaming` switches the figure drivers to the `vstream::query`
-//! streaming mode: analysis folds ride the engine's live packet tap and no
-//! session retains a packet trace (cache misses keep one transiently, only
-//! to pack it). Figures are byte-identical with the flag on or off — both
-//! modes compute through the same folds — so the flag only trades where
-//! peak memory goes (`peak_trace_bytes` vs `peak_flowstate_bytes` in the
-//! ledger).
+//! Bad input fails loudly: an unknown id or flag, a malformed value,
+//! `--n 0` or `--jobs 0` prints `error: ...` on stderr and exits 2 before
+//! anything runs.
 //!
 //! `--trace-dir` turns the `vstream::flight` recorder on: each simulated
 //! session records structured events (TCP state/cwnd, queue drops, player
@@ -48,8 +41,7 @@
 //!
 //! With `--csv`, the run also writes `qoe_sessions.csv` into the CSV tree:
 //! one QoE row (startup delay, stalls, stall ratio, block cadence) per
-//! spec-driven session, in deterministic figure/spec order on every
-//! execution mode.
+//! spec-driven session, in deterministic figure/spec order at any `--jobs`.
 //!
 //! `repro campaign` is the hybrid fluid/packet capacity planner
 //! (`vstream::campaign`): a deterministic packet-level shard calibrates the
@@ -80,7 +72,6 @@ struct Options {
     metrics_path: Option<PathBuf>,
     metrics_summary: bool,
     progress: bool,
-    no_cache: bool,
     trace_dir: Option<PathBuf>,
     trace_anomalies: bool,
     trace_cap: Option<usize>,
@@ -101,7 +92,6 @@ fn main() {
         metrics_path: None,
         metrics_summary: false,
         progress: false,
-        no_cache: false,
         trace_dir: None,
         trace_anomalies: false,
         trace_cap: None,
@@ -117,8 +107,8 @@ fn main() {
         args.remove(0);
         match arg.as_str() {
             "--seed" => opts.seed = take_value(&mut args, "--seed"),
-            "--n" => opts.n = take_value(&mut args, "--n"),
-            "--jobs" => vstream::set_default_jobs(take_value(&mut args, "--jobs")),
+            "--n" => opts.n = take_nonzero(&mut args, "--n"),
+            "--jobs" => vstream::set_default_jobs(take_nonzero(&mut args, "--jobs")),
             "--csv" => {
                 let dir: String = take_value(&mut args, "--csv");
                 opts.csv_dir = Some(PathBuf::from(dir));
@@ -129,8 +119,6 @@ fn main() {
             }
             "--metrics-summary" => opts.metrics_summary = true,
             "--progress" => opts.progress = true,
-            "--no-cache" => opts.no_cache = true,
-            "--streaming" => vstream::set_streaming(true),
             "--trace-dir" => {
                 let dir: String = take_value(&mut args, "--trace-dir");
                 opts.trace_dir = Some(PathBuf::from(dir));
@@ -152,17 +140,23 @@ fn main() {
                 print_usage();
                 return;
             }
-            other => selected.push(other.to_string()),
+            flag if flag.starts_with('-') => fail(&format!("unknown flag {flag:?} (try --help)")),
+            id => selected.push(id.to_string()),
         }
     }
     if selected.is_empty() {
         print_usage();
         return;
     }
+    if let Some(id) = selected
+        .iter()
+        .find(|id| !matches!(id.as_str(), "all" | "campaign") && !ALL_IDS.contains(&id.as_str()))
+    {
+        fail(&format!("unknown id {id:?} (try --help)"));
+    }
     let campaign_mode = selected.iter().any(|s| s == "campaign");
     if campaign_mode && selected.len() > 1 {
-        eprintln!("error: 'campaign' runs alone (it is a planner, not a figure)");
-        std::process::exit(2);
+        fail("'campaign' runs alone (it is a planner, not a figure)");
     }
     if selected.iter().any(|s| s == "all") {
         selected = ALL_IDS.iter().map(|s| s.to_string()).collect();
@@ -175,9 +169,6 @@ fn main() {
     let metered = opts.metrics_path.is_some() || opts.metrics_summary || opts.progress;
     if metered {
         collector::install(collector::wall_from_env());
-    }
-    if !opts.no_cache {
-        vstream::cache::install();
     }
     if let Some(dir) = &opts.trace_dir {
         let ring_cap = opts.trace_cap.unwrap_or(if opts.trace_anomalies {
@@ -263,16 +254,13 @@ fn emit_metrics(opts: &Options) {
 fn run_campaign_cmd(opts: &Options) {
     use vstream::campaign::{run_campaign, CampaignOptions, CampaignSpec};
     if opts.viewers == 0 {
-        eprintln!("error: invalid value \"0\" for --viewers");
-        std::process::exit(2);
+        fail("invalid value \"0\" for --viewers");
     }
     if opts.packet_sessions == Some(0) || opts.shard_size == Some(0) {
-        eprintln!("error: --packet-sessions and --shard-size must be nonzero");
-        std::process::exit(2);
+        fail("--packet-sessions and --shard-size must be nonzero");
     }
     if opts.window_secs == Some(0) {
-        eprintln!("error: invalid value \"0\" for --window");
-        std::process::exit(2);
+        fail("invalid value \"0\" for --window");
     }
     let mut spec = CampaignSpec::for_viewers(opts.viewers);
     spec.seed = opts.seed;
@@ -313,16 +301,27 @@ fn run_campaign_cmd(opts: &Options) {
     }
 }
 
+/// Prints `error: {msg}` and exits 2, the status for bad command lines.
+fn fail(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
 fn take_value<T: std::str::FromStr>(args: &mut Vec<String>, flag: &str) -> T {
     if args.is_empty() || args[0].starts_with("--") {
-        eprintln!("error: {flag} requires a value");
-        std::process::exit(2);
+        fail(&format!("{flag} requires a value"));
     }
     let raw = args.remove(0);
-    raw.parse().unwrap_or_else(|_| {
-        eprintln!("error: invalid value {raw:?} for {flag}");
-        std::process::exit(2);
-    })
+    raw.parse()
+        .unwrap_or_else(|_| fail(&format!("invalid value {raw:?} for {flag}")))
+}
+
+/// A count that must be at least 1 (`--n`, `--jobs`).
+fn take_nonzero(args: &mut Vec<String>, flag: &str) -> usize {
+    match take_value(args, flag) {
+        0 => fail(&format!("invalid value \"0\" for {flag} (must be at least 1)")),
+        n => n,
+    }
 }
 
 const ALL_IDS: [&str; 22] = [
@@ -334,8 +333,8 @@ const ALL_IDS: [&str; 22] = [
 fn print_usage() {
     println!(
         "usage: repro [ids...|all] [--seed N] [--n N] [--jobs N] [--csv DIR] \
-         [--metrics PATH] [--metrics-summary] [--progress] [--no-cache] [--streaming] \
-         [--trace-dir DIR] [--trace-anomalies] [--trace-cap N]"
+         [--metrics PATH] [--metrics-summary] [--progress] [--trace-dir DIR] \
+         [--trace-anomalies] [--trace-cap N]"
     );
     println!(
         "       repro campaign [--viewers N] [--packet-sessions N] [--shard-size N] \
@@ -435,7 +434,7 @@ fn run_one(id: &str, opts: &Options) {
             emit_fig(&fig, opts);
             emit_fig(&f::model_smoothing(), opts);
         }
-        other => eprintln!("unknown id {other:?} (try --help)"),
+        other => unreachable!("id {other:?} passed validation"),
     }
 }
 

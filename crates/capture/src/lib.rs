@@ -10,9 +10,8 @@
 //! ([`pcap::write_pcap`]) with synthesized IPv4/TCP headers, so any external
 //! tool (Wireshark, tshark, tcptrace) can inspect simulated sessions.
 
-//! For long-term retention (the cross-figure session cache) a trace can be
-//! delta-compressed into a [`PackedTrace`] at ~30× and reconstructed
-//! exactly.
+//! For long-term retention a trace can be delta-compressed into a
+//! [`PackedTrace`] at ~30× and reconstructed exactly.
 //!
 //! Storage is columnar: [`Trace`] keeps one dense array per segment field
 //! (plus a side table for rare SACK state), records are addressed through

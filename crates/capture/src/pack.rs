@@ -1,10 +1,11 @@
 //! Compact, lossless packed form of a [`Trace`], stored column-wise.
 //!
 //! A raw packet record is ~120 bytes, dominated by a [`SackBlocks`] that is
-//! empty on almost every packet. A retained capture (see the session cache
-//! in the `vstream` crate) would hold gigabytes in that form — and on the
-//! machines this runs on, *cold* memory is the expensive resource: every
-//! freshly faulted page costs far more than the arithmetic that fills it.
+//! empty on almost every packet. A long-lived store of captures would hold
+//! gigabytes in that form — and *cold* memory is the expensive resource:
+//! every freshly faulted page costs far more than the arithmetic that
+//! fills it. (No figure path packs traces: figures fold packets on the
+//! live tap and retain none.)
 //! `PackedTrace` stores the same information in a few bytes per record by
 //! exploiting what captures look like:
 //!
@@ -34,8 +35,7 @@
 //! trace packs to zero bytes.
 //!
 //! Typical captures pack to ~4 bytes per record (~30×). Round-tripping is
-//! exact: `unpack(pack(t)) == t` field for field, which the session cache
-//! relies on for byte-identical figure output.
+//! exact: `unpack(pack(t)) == t` field for field.
 //!
 //! All integers are LEB128 varints; signed deltas are zigzag-mapped first.
 //! Deltas use wrapping arithmetic, so the encoding is total — any `u64`
@@ -376,8 +376,8 @@ impl PackedTrace {
     }
 
     /// Replays the packed capture through `sink`, record by record in
-    /// capture order, without materialising a [`Trace`] — the cache-hit
-    /// path of streaming mode. Every stream (timestamps included) is
+    /// capture order, without materialising a [`Trace`]. Every stream
+    /// (timestamps included) is
     /// decoded lock-step inside the one record loop, so the replay holds
     /// only the per-stream cursors and predictor state, never an O(records)
     /// buffer.

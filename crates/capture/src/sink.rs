@@ -10,8 +10,8 @@
 //!
 //! Three producers feed the same sink interface:
 //!
-//! * the session engine's tap, as packets are emitted (streaming mode —
-//!   no capture is retained at all);
+//! * the session engine's tap, as packets are emitted (no capture is
+//!   retained at all);
 //! * [`Trace::replay`], walking an in-memory capture column-wise;
 //! * [`crate::PackedTrace::replay`], decoding the packed streams record by
 //!   record without materialising a trace.
@@ -136,8 +136,8 @@ impl TapPacket {
 ///
 /// Implementations must be pure folds over the packet stream: the same
 /// sequence of [`TapPacket`]s must always produce the same state, so a
-/// live session tap, a trace replay, and a packed-cache replay are
-/// interchangeable (the streaming/batch byte-equality contract).
+/// live session tap, a trace replay, and a packed replay are
+/// interchangeable (the live-tap/retained-trace byte-equality contract).
 pub trait PacketSink {
     /// Accepts the next packet of the capture.
     fn packet(&mut self, p: &TapPacket);
@@ -149,7 +149,7 @@ impl<S: PacketSink + ?Sized> PacketSink for &mut S {
     }
 }
 
-/// A sink that discards every packet (the batch-mode placeholder).
+/// A sink that discards every packet (what a trace-retaining run feeds).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NullSink;
 
@@ -157,9 +157,9 @@ impl PacketSink for NullSink {
     fn packet(&mut self, _p: &TapPacket) {}
 }
 
-/// Feeds one packet stream to two sinks, in order — e.g. a cache miss that
-/// must both retain the capture ([`Trace`] as sink `a`) and fold the
-/// analysis features on the fly (sink `b`).
+/// Feeds one packet stream to two sinks, in order — e.g. retaining the
+/// capture ([`Trace`] as sink `a`) while folding analysis features on the
+/// fly (sink `b`).
 pub struct Tee<'a, A: PacketSink + ?Sized, B: PacketSink + ?Sized> {
     a: &'a mut A,
     b: &'a mut B,

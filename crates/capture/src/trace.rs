@@ -177,8 +177,8 @@ impl Trace {
     }
 
     /// Replays the capture through `sink`, record by record in capture
-    /// order — the cache-hit path of streaming mode, and the bridge that
-    /// lets any fold be checked against the stored columns.
+    /// order — the bridge that lets any fold be checked against the stored
+    /// columns.
     ///
     /// The SACK side table is walked with a sequential cursor (it is sorted
     /// by record index), so the replay is one linear pass over the columns.

@@ -28,9 +28,9 @@
 //!   byte-identical to an uninterrupted one.
 //!
 //! Memory stays constant per shard: sessions resolve through the
-//! [`query`](crate::query) layer (the PR 7 fold machinery — in streaming
-//! mode no trace is ever retained), each reply is reduced in-worker to a
-//! few hundred bytes, and the shard fold owns the only timeline.
+//! [`query`](crate::query) layer (folds on the live packet tap — no trace is
+//! ever retained), each reply is reduced in-worker to a few hundred bytes,
+//! and the shard fold owns the only timeline.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -616,7 +616,7 @@ fn compute_shard(
     let lites: Vec<Option<SessionLite>> = batch_resolve(
         &specs,
         jobs,
-        |s, scratch| s.obtain_reply(scratch, query),
+        |s, scratch| s.resolve(scratch, query),
         |_, reply: &SessionReply| SessionLite::of(reply),
     );
     let mut r = Reduction::new(spec.horizon_bins());

@@ -23,9 +23,7 @@
 //!   observer would reconstruct from per-connection byte totals alone.
 //!
 //! Everything resolves through [`query_many`], so the sweep is one parallel
-//! batch and the numbers are byte-identical across `--jobs`, `--streaming`
-//! on/off, and cache on/off (the cross-traffic shape is part of the session
-//! cache key).
+//! batch and the numbers are byte-identical across `--jobs`.
 
 use vstream_app::strategies::AbrConfig;
 use vstream_net::{LrdCrossConfig, NetworkProfile};
@@ -72,8 +70,7 @@ pub fn ext_qoe_load_sweep(seed: u64, n: usize) -> (FigureData, TableData) {
                     profile,
                     engine_seed,
                     CAPTURE,
-                )
-                .shared();
+                );
                 if load == 0 {
                     spec
                 } else {

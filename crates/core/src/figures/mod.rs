@@ -44,18 +44,16 @@ pub const CAPTURE: SimDuration = SimDuration::from_secs(180);
 /// Every figure that aggregates over `n` sessions of one Table 1 cell
 /// derives its engine seeds from this one tag. That is deliberate: two
 /// figures sampling the same `(client, container, dataset, profile)` cell
-/// with the same root seed build *identical* [`SessionSpec`]s, so the
-/// [session cache](crate::cache) computes the cell once and every later
-/// figure hits. (Before the cache, each figure family used a private tag —
-/// 0xBFF, 0x51E, 0x1AB — which made equal cells deliberately disjoint.)
+/// with the same root seed build *identical* [`SessionSpec`]s, so their
+/// sessions agree across figures. The shared tag fixes every committed CSV
+/// and must not change.
 pub(crate) const STREAM_CELL: u64 = 0xCE11;
 
 /// The standard `n`-session sample of one Table 1 cell: video `i` is drawn
 /// from `dataset` by index and the engine seed is identity-derived from
 /// `(STREAM_CELL, client, container, profile, i)`, so sessions are
-/// order-independent, batch-parallel, and — crucially — equal across every
-/// figure that samples the same cell. The specs are marked
-/// [`shared`](SessionSpec::shared), opting them into cache retention.
+/// order-independent, batch-parallel, and equal across every figure that
+/// samples the same cell.
 pub(crate) fn cell_specs(
     client: Client,
     container: Container,
@@ -78,7 +76,6 @@ pub(crate) fn cell_specs(
                 engine_seed,
                 CAPTURE,
             )
-            .shared()
         })
         .collect()
 }

@@ -15,11 +15,10 @@
 //! File names are derived from the session's identity (client, container,
 //! profile, video, seed, capture, watch time), never from execution
 //! context, and a session's event stream is a pure function of its spec —
-//! so the dump *set and bytes* are deterministic across `--jobs`, cache
-//! on/off, and `--streaming` on/off. Cache hits replay packed packets
-//! without re-running the engine, so they record no events and never
-//! rewrite a file (the miss that populated the cell already dumped the
-//! identical bytes).
+//! so the dump *set and bytes* are deterministic across `--jobs`. A spec
+//! that two figures both run is simulated, and dumped, twice; the second
+//! write replaces the file with identical bytes (writes are serialised
+//! under the recorder's config lock).
 //!
 //! With `--trace-anomalies` only sessions tripping [`is_anomalous`] are
 //! written: a completed stall beyond [`ANOMALY_STALL_NS`] or at least
@@ -134,9 +133,10 @@ fn total_timeouts(out: &CellOutcome) -> u64 {
         .sum()
 }
 
-/// Identity-derived dump file stem: every cache-key field appears, so two
-/// distinct sessions can never share a file and re-running the same spec
-/// rewrites identical bytes.
+/// Identity-derived dump file stem: every spec field but the cross-traffic
+/// config appears (the load sweeps that set one derive a distinct seed per
+/// load), so two distinct sessions never share a file and re-running the
+/// same spec rewrites identical bytes.
 pub fn file_stem(spec: &SessionSpec) -> String {
     let mut stem = format!(
         "{}-{}-{}-v{}-r{}-d{}-s{}-c{}",

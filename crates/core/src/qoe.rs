@@ -7,10 +7,9 @@
 //! figure and spec identity.
 //!
 //! Determinism is the design constraint. A row is a pure function of the
-//! session's [`SessionSpec`] and its post-run [`StrategyLogic`] — the one
-//! resolver product that survives **every** resolution path (batch replay,
-//! streaming tap, cache hit, cache miss), so the table is byte-identical
-//! across `--jobs`, cache on/off, and `--streaming` on/off. Rows are
+//! session's [`SessionSpec`] and its post-run [`StrategyLogic`], which
+//! every resolver product carries (a live-tap reply and a trace-retaining
+//! outcome alike), so the table is byte-identical across `--jobs`. Rows are
 //! computed inside the batch fan-out but pushed to the collector in
 //! ascending spec order after the scatter, so worker completion order
 //! never shows. All numeric formatting is integer-only (microsecond-based
@@ -21,8 +20,7 @@
 //! [`vstream_obs::trace::QoeFold`]; the flight-recorder test suite holds
 //! the two equal on full event streams, and trace dumps annotate their
 //! timelines with it. The production table deliberately does *not* read
-//! the event stream: cache hits replay no events, and the table must not
-//! depend on tracing being enabled.
+//! the event stream: it must not depend on tracing being enabled.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;

@@ -3,26 +3,18 @@
 //! A [`SessionQuery`] names the reductions a driver needs — download
 //! series, receive-window series, ON/OFF analysis, phase decomposition,
 //! ack-clock samples, capture totals — and [`query_many`] resolves a batch
-//! of specs into [`SessionReply`]s carrying exactly those features. Both
-//! execution modes compute every feature through the same incremental fold
-//! operators ([`vstream_analysis::fold`]):
+//! of specs into [`SessionReply`]s carrying exactly those features.
 //!
-//! * **batch** (default): sessions retain their [`Trace`] as before and the
-//!   capture is replayed through the composite fold after the run;
-//! * **streaming** ([`set_streaming`], the `repro` binary's `--streaming`):
-//!   the fold rides the engine's live packet tap
-//!   ([`Engine::run_observed`](vstream_app::engine::Engine::run_observed)),
-//!   and no `Trace` is materialised at all for uncached sessions — cache
-//!   misses fold on the fly (keeping the trace transiently, only to pack
-//!   it), and cache hits replay the packed columns through the same sink.
-//!
-//! Because the folds are shared, a figure's output is byte-identical across
-//! the two modes by construction (`scripts/ci.sh` diffs the full CSV trees
-//! to hold this); the modes differ only in peak memory — O(packets) trace
-//! columns versus O(flows + figure points) fold state, the
-//! `peak_trace_bytes` / `peak_flowstate_bytes` ledger gauges.
-
-use std::sync::atomic::{AtomicBool, Ordering};
+//! Every feature is computed by an incremental fold operator
+//! ([`vstream_analysis::fold`]) riding the engine's live packet tap
+//! ([`Engine::run_observed`](vstream_app::engine::Engine::run_observed)).
+//! No session behind a query materialises a [`Trace`](vstream_capture::Trace):
+//! peak memory per worker is O(flows + figure points) of fold state — the
+//! `peak_flowstate_bytes` ledger gauge — not O(packets) of trace columns.
+//! The same folds replayed over a retained trace
+//! ([`SessionSpec::run`](crate::session::SessionSpec::run) plus
+//! [`Trace::replay`](vstream_capture::Trace::replay)) give bit-identical
+//! answers; the equivalence tests use that as their oracle.
 
 use vstream_analysis::{
     AnalysisConfig, AnalysisFold, CaptureTotals, DownloadFold, OnOffAnalysis, SessionPhases,
@@ -30,28 +22,11 @@ use vstream_analysis::{
 };
 use vstream_app::PlayerStats;
 use vstream_capture::{ConnectionSummary, PacketSink, TapPacket};
-use vstream_obs::{Gauge, Metrics};
 use vstream_sim::{SimDuration, SimTime};
 use vstream_tcp::EndpointStats;
 use vstream_workload::StrategyLogic;
 
-use crate::session::{default_jobs, CellOutcome, SessionSpec};
-
-/// Whether batch resolution streams sessions through live folds instead of
-/// retaining traces. Results do not depend on this flag — only peak memory
-/// does (the determinism suite diffs both settings).
-static STREAMING: AtomicBool = AtomicBool::new(false);
-
-/// Switches the figure drivers between trace-retaining batch mode (`false`,
-/// the default) and trace-free streaming mode (`true`).
-pub fn set_streaming(on: bool) {
-    STREAMING.store(on, Ordering::Relaxed);
-}
-
-/// True while streaming mode is on.
-pub fn streaming_enabled() -> bool {
-    STREAMING.load(Ordering::Relaxed)
-}
+use crate::session::{default_jobs, SessionSpec};
 
 /// The features a figure driver wants from each session.
 #[derive(Clone, Debug)]
@@ -77,9 +52,7 @@ pub struct SessionQuery {
     /// Unlike every other feature this is not a packet fold: QoE is an
     /// application-layer reduction of the player's unconditional
     /// statistics ([`crate::qoe::QoeSummary::of`]), filled at reply
-    /// assembly from the session's strategy logic. It rides the same
-    /// every-path plumbing (batch replay, streaming tap, cache hit/miss),
-    /// so the answer is byte-identical across modes all the same.
+    /// assembly from the session's strategy logic.
     pub qoe: bool,
     /// Wire-side bitrate-switch estimate against this segment ladder (the
     /// `ext-qoe` table's cross-check of the client's own switch counter).
@@ -352,38 +325,13 @@ impl PacketSink for CompositeFold {
     }
 }
 
-/// Folds a completed batch-mode outcome into a reply by replaying its
-/// retained trace through the same composite fold the streaming mode runs
-/// live — the construction that makes the two modes byte-identical.
-pub(crate) fn reply_from_outcome(
-    out: &CellOutcome,
-    query: &SessionQuery,
-    metrics: &mut Metrics,
-) -> SessionReply {
-    let mut fold = CompositeFold::new(query, out.base_rtt);
-    out.trace.replay(&mut fold);
-    metrics.gauge_max(Gauge::PeakFlowstateBytes, fold.approx_bytes() as u64);
-    let mut answer = fold.finish(query);
-    if query.qoe {
-        answer.qoe = Some(crate::qoe::QoeSummary::of(&out.logic));
-    }
-    SessionReply {
-        answer,
-        logic: out.logic.clone(),
-        connections: out.connections,
-        connection_stats: out.connection_stats.clone(),
-        base_rtt: out.base_rtt,
-    }
-}
-
 /// Resolves every spec into the queried features, up to
 /// [`default_jobs`](crate::session::default_jobs) sessions in parallel,
 /// ordered by spec index. `None` marks inapplicable Table 1 cells.
 ///
 /// This is [`run_many`](crate::session::run_many) with the trace factored
 /// out: the reply carries features and the small outcome fields only, so
-/// peak memory per worker is the fold state (streaming mode) or one
-/// transient trace (batch mode), never one trace per session.
+/// peak memory per worker is the fold state, never a trace.
 pub fn query_many(specs: &[SessionSpec], query: &SessionQuery) -> Vec<Option<SessionReply>> {
     query_many_jobs(specs, default_jobs(), query)
 }
@@ -397,7 +345,7 @@ pub fn query_many_jobs(
     crate::session::batch_resolve(
         specs,
         jobs,
-        |spec, scratch| spec.obtain_reply(scratch, query),
+        |spec, scratch| spec.resolve(scratch, query),
         |_, reply: &SessionReply| reply.clone(),
     )
 }

@@ -11,7 +11,6 @@
 //! RNG while iterating.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use vstream_app::engine::Engine;
 pub use vstream_app::engine::SessionScratch;
@@ -24,8 +23,7 @@ use vstream_sim::{exec, SimDuration};
 use vstream_tcp::EndpointStats;
 use vstream_workload::{logic_for, Client, Container, StrategyLogic};
 
-use crate::cache;
-use crate::query::{self, CompositeFold, SessionQuery, SessionReply};
+use crate::query::{CompositeFold, SessionQuery, SessionReply};
 use crate::{flight, qoe};
 
 /// Worker count used by the figure/table drivers; `0` selects the host's
@@ -64,15 +62,8 @@ pub struct SessionSpec {
     /// (§6.2 experiments).
     pub watch_time: Option<SimDuration>,
     /// When set, a long-range-dependent cross-traffic aggregate shares the
-    /// downlink for the whole session (the `ext-qoe` load sweeps). Part of
-    /// the cache key: the aggregate changes every packet arrival time.
+    /// downlink for the whole session (the `ext-qoe` load sweeps).
     pub cross: Option<LrdCrossConfig>,
-    /// Opts this spec into [session cache](crate::cache) retention. Set by
-    /// [`SessionSpec::shared`] for the cross-figure cell stream
-    /// (`figures::cell_specs`); one-off sessions leave it false so the
-    /// cache never retains memory no later driver reads. Not part of the
-    /// cache key — it changes where the result lives, never what it is.
-    pub shared: bool,
 }
 
 impl SessionSpec {
@@ -94,7 +85,6 @@ impl SessionSpec {
             capture,
             watch_time: None,
             cross: None,
-            shared: false,
         }
     }
 
@@ -113,15 +103,6 @@ impl SessionSpec {
         self
     }
 
-    /// Marks the session as shared across figure drivers: while the
-    /// [session cache](crate::cache) is installed, its outcome is retained
-    /// (packed) after the first run and later requests decode it instead of
-    /// re-simulating.
-    pub fn shared(mut self) -> Self {
-        self.shared = true;
-        self
-    }
-
     /// Runs the session. `None` for inapplicable Table 1 cells (mobile
     /// clients have no Flash).
     pub fn run(&self) -> Option<CellOutcome> {
@@ -135,224 +116,57 @@ impl SessionSpec {
     /// [`SessionScratch`] so back-to-back sessions skip their warm-up
     /// allocations. The outcome is bit-identical to [`SessionSpec::run`] —
     /// scratch carries capacity, never state.
-    ///
-    /// While the [session cache](crate::cache) is installed and the spec is
-    /// [`shared`](SessionSpec::shared), the engine runs only on the first
-    /// request for this spec; later requests decode the retained packed
-    /// copy (sessions are pure functions of their spec, so the decode is
-    /// bit-identical to a re-run).
     pub fn run_with_scratch(&self, scratch: &mut SessionScratch) -> Option<CellOutcome> {
-        self.obtain(scratch).0
+        self.simulate(scratch, None)
     }
 
-    /// The engine path: always simulates, never consults the cache.
+    /// The engine path. With a `tap`, every emitted packet is pushed into
+    /// it as the simulation runs and the session never allocates trace
+    /// columns (the outcome carries an empty [`Trace`]); without one, the
+    /// capture is retained.
     ///
-    /// This (and its streamed twin below) is where the flight recorder
-    /// brackets a session: a fresh per-session event ring before the
-    /// engine, a dump decision after. Cache hits never reach here, so they
-    /// record no events and never rewrite a dump — the miss that populated
-    /// the cell already wrote the identical bytes.
-    fn run_uncached(&self, scratch: &mut SessionScratch) -> Option<CellOutcome> {
-        let logic = logic_for(self.client, self.container, self.video)?;
-        let bracket = flight::session_begin();
-        let out = finish(
-            self.profile,
-            self.seed,
-            self.capture,
-            logic,
-            self.watch_time,
-            self.cross,
-            scratch,
-            None,
-        );
-        if bracket {
-            flight::session_end(self, &out);
-        }
-        Some(out)
-    }
-
-    /// The engine path with a live packet tap: every emitted packet is
-    /// pushed into `sink` as the simulation runs. With `keep_trace` off the
-    /// session never allocates trace columns and the returned outcome
-    /// carries an empty [`Trace`]; with it on, the capture is retained *in
-    /// addition* to being streamed (the cache-miss path, which still needs
-    /// the trace to pack).
-    fn run_uncached_streamed(
+    /// This is where the flight recorder brackets a session: a fresh
+    /// per-session event ring before the engine, a dump decision after.
+    fn simulate(
         &self,
         scratch: &mut SessionScratch,
-        sink: &mut dyn PacketSink,
-        keep_trace: bool,
+        tap: Option<&mut dyn PacketSink>,
     ) -> Option<CellOutcome> {
         let logic = logic_for(self.client, self.container, self.video)?;
         let bracket = flight::session_begin();
-        let out = finish(
-            self.profile,
-            self.seed,
-            self.capture,
-            logic,
-            self.watch_time,
-            self.cross,
-            scratch,
-            Some((sink, keep_trace)),
-        );
+        let out = finish(self, logic, scratch, tap);
         if bracket {
             flight::session_end(self, &out);
         }
         Some(out)
-    }
-
-    /// Resolves the session: the outcome, plus the retained cache cell when
-    /// this spec is cacheable (active cache and [`shared`](Self::shared)).
-    /// The engine runs exactly once per distinct cacheable spec per run; a
-    /// **miss** hands back the engine's own outcome (no copy — the retained
-    /// form is packed separately) and a **hit** decodes the packed copy
-    /// into fresh transient memory.
-    ///
-    /// Metrics bookkeeping keeps a metered ledger independent of the cache
-    /// configuration. On a miss, the engine run is bracketed by two
-    /// registry takes so the session's exact metrics delta is captured and
-    /// stored with the cell; the taken registries are merged straight back
-    /// (merge is commutative, counters sum, gauges max), so the worker's
-    /// registry ends up exactly as if nothing had been taken. On a hit,
-    /// the stored delta is merged in as if the engine had run. The
-    /// `cache_*` counters themselves are [`Counter::EXECUTION_DEPENDENT`],
-    /// so byte-comparable ledgers (`VSTREAM_WALL=off`) zero them and
-    /// cache-on vs `--no-cache` runs serialize identically.
-    fn obtain(
-        &self,
-        scratch: &mut SessionScratch,
-    ) -> (Option<CellOutcome>, Option<Arc<cache::CachedCell>>) {
-        if !cache::is_active() || !self.shared {
-            return (self.run_uncached(scratch), None);
-        }
-        let key = cache::key_of(self);
-        if let Some(cell) = cache::lookup(&key) {
-            let m = scratch.metrics_mut();
-            m.merge(&cell.metrics);
-            m.add(Counter::CacheHits, 1);
-            return (cell.unpack_outcome(), Some(cell));
-        }
-        let before = scratch.metrics_mut().take();
-        let out = self.run_uncached(scratch);
-        let delta = scratch.metrics_mut().take();
-        let m = scratch.metrics_mut();
-        m.merge(&before);
-        m.merge(&delta);
-        m.add(Counter::CacheMisses, 1);
-        let (cell, inserted) = cache::insert(key, &out, delta);
-        if inserted {
-            m.add(Counter::CacheBytesRetained, cell.bytes);
-        }
-        (out, Some(cell))
     }
 
     /// Resolves the session straight to the features a
     /// [`SessionQuery`](crate::query::SessionQuery) asks for, never handing
-    /// a trace to the caller.
-    ///
-    /// In batch mode this is [`SessionSpec::obtain`] followed by a replay of
-    /// the retained trace through the query's composite fold. In streaming
-    /// mode ([`query::set_streaming`]) the fold rides the engine's live
-    /// packet tap instead:
-    ///
-    /// * **uncached** specs run with `keep_trace = false` — no trace columns
-    ///   are ever allocated, peak state is the fold itself;
-    /// * a cache **hit** replays the packed columns through a fresh fold
-    ///   without decoding them into a `Trace`;
-    /// * a cache **miss** streams the live tap into the fold while also
-    ///   retaining the trace, which exists only long enough to be packed
-    ///   into the store.
-    ///
-    /// Every path pushes the identical packet sequence through the identical
-    /// fold, so the reply is bit-equal across batch/streaming and across
-    /// cache hit/miss. The fold's peak footprint is recorded under
-    /// [`Gauge::PeakFlowstateBytes`] — outside the cache-miss metrics
-    /// bracket, so hits re-record their own (identical) value instead of
-    /// inheriting a stored one.
-    pub(crate) fn obtain_reply(
+    /// a trace to the caller: the query's composite fold rides the engine's
+    /// live packet tap, so peak state is the fold itself. The fold's
+    /// footprint is recorded under [`Gauge::PeakFlowstateBytes`].
+    pub(crate) fn resolve(
         &self,
         scratch: &mut SessionScratch,
         query: &SessionQuery,
-    ) -> (Option<SessionReply>, Option<Arc<cache::CachedCell>>) {
-        if !query::streaming_enabled() {
-            let (out, cell) = self.obtain(scratch);
-            let reply =
-                out.map(|o| query::reply_from_outcome(&o, query, scratch.metrics_mut()));
-            return (reply, cell);
-        }
-        if !cache::is_active() || !self.shared {
-            let mut fold = CompositeFold::new(query, self.fold_rtt(query));
-            let out = self.run_uncached_streamed(scratch, &mut fold, false);
-            scratch
-                .metrics_mut()
-                .gauge_max(Gauge::PeakFlowstateBytes, fold.approx_bytes() as u64);
-            let reply = out.map(|o| {
-                let mut answer = fold.finish(query);
-                if query.qoe {
-                    answer.qoe = Some(qoe::QoeSummary::of(&o.logic));
-                }
-                SessionReply {
-                    answer,
-                    logic: o.logic,
-                    connections: o.connections,
-                    connection_stats: o.connection_stats,
-                    base_rtt: o.base_rtt,
-                }
-            });
-            return (reply, None);
-        }
-        let key = cache::key_of(self);
-        if let Some(cell) = cache::lookup(&key) {
-            let m = scratch.metrics_mut();
-            m.merge(&cell.metrics);
-            m.add(Counter::CacheHits, 1);
-            let reply = cell.parts().map(|(logic, connections, connection_stats, base_rtt)| {
-                let mut fold = CompositeFold::new(query, base_rtt);
-                cell.replay_into(&mut fold);
-                scratch
-                    .metrics_mut()
-                    .gauge_max(Gauge::PeakFlowstateBytes, fold.approx_bytes() as u64);
-                let mut answer = fold.finish(query);
-                if query.qoe {
-                    answer.qoe = Some(qoe::QoeSummary::of(&logic));
-                }
-                SessionReply {
-                    answer,
-                    logic,
-                    connections,
-                    connection_stats,
-                    base_rtt,
-                }
-            });
-            return (reply, Some(cell));
-        }
-        let before = scratch.metrics_mut().take();
+    ) -> Option<SessionReply> {
         let mut fold = CompositeFold::new(query, self.fold_rtt(query));
-        let out = self.run_uncached_streamed(scratch, &mut fold, true);
-        let delta = scratch.metrics_mut().take();
-        let m = scratch.metrics_mut();
-        m.merge(&before);
-        m.merge(&delta);
-        m.add(Counter::CacheMisses, 1);
-        let (cell, inserted) = cache::insert(key, &out, delta);
-        if inserted {
-            m.add(Counter::CacheBytesRetained, cell.bytes);
+        let out = self.simulate(scratch, Some(&mut fold))?;
+        scratch
+            .metrics_mut()
+            .gauge_max(Gauge::PeakFlowstateBytes, fold.approx_bytes() as u64);
+        let mut answer = fold.finish(query);
+        if query.qoe {
+            answer.qoe = Some(qoe::QoeSummary::of(&out.logic));
         }
-        m.gauge_max(Gauge::PeakFlowstateBytes, fold.approx_bytes() as u64);
-        let reply = out.map(|o| {
-            let mut answer = fold.finish(query);
-            if query.qoe {
-                answer.qoe = Some(qoe::QoeSummary::of(&o.logic));
-            }
-            SessionReply {
-                answer,
-                logic: o.logic,
-                connections: o.connections,
-                connection_stats: o.connection_stats,
-                base_rtt: o.base_rtt,
-            }
-        });
-        (reply, Some(cell))
+        Some(SessionReply {
+            answer,
+            logic: out.logic,
+            connections: out.connections,
+            connection_stats: out.connection_stats,
+            base_rtt: out.base_rtt,
+        })
     }
 
     /// The RTT the ack-clock fold is parameterised with. Reads the path
@@ -390,52 +204,27 @@ pub fn run_many(specs: &[SessionSpec]) -> Vec<Option<CellOutcome>> {
 /// warm-up allocations. Scratch reuse never changes results — the
 /// jobs-invariance test below and `scripts/check_determinism.sh` hold this.
 pub fn run_many_jobs(specs: &[SessionSpec], jobs: usize) -> Vec<Option<CellOutcome>> {
-    batch_cached(specs, jobs, |_, out| out.clone())
+    batch_resolve(specs, jobs, SessionSpec::run_with_scratch, |_, out| out.clone())
 }
 
 /// Runs every spec and reduces each outcome to `f(index, &outcome)` **inside
 /// the worker**, so a session's packet trace is dropped before the next
 /// session on that worker starts. Prefer this over [`run_many`] for large
 /// batches: it keeps peak memory at one trace per worker instead of one per
-/// session (the [session cache](crate::cache) retains only the *packed*
-/// form of shared specs, so this promise survives with the cache on).
+/// session.
 pub fn map_many<T, F>(specs: &[SessionSpec], f: F) -> Vec<Option<T>>
 where
     T: Send,
     F: Fn(usize, &CellOutcome) -> T + Sync,
 {
-    batch_cached(specs, default_jobs(), f)
-}
-
-/// The shared batch path: dedup before dispatch, reduce in-worker.
-///
-/// Duplicate cacheable specs within the batch are computed once —
-/// [`exec::dedup_by_key`] picks each distinct spec's first occurrence as
-/// its *leader*, only the leaders fan out across the worker pool (each
-/// resolving through [`SessionSpec::obtain`], so cross-figure hits
-/// short-circuit too), and the worker that resolves a leader immediately
-/// reduces every duplicate's `f` against the same outcome, replaying the
-/// cell's metrics delta per duplicate exactly like any other cache hit.
-/// Non-shared specs get per-index sentinel keys, so they never dedup and
-/// follow the plain uncached path inside [`SessionSpec::obtain`].
-///
-/// Results are scattered back by original index and each index sees the
-/// same outcome it would have computed itself, so output is bit-identical
-/// to the uncached path at any worker count. Peak memory stays at one
-/// live outcome per worker.
-fn batch_cached<T, F>(specs: &[SessionSpec], jobs: usize, f: F) -> Vec<Option<T>>
-where
-    T: Send,
-    F: Fn(usize, &CellOutcome) -> T + Sync,
-{
-    batch_resolve(specs, jobs, |spec, scratch| spec.obtain(scratch), f)
+    batch_resolve(specs, default_jobs(), SessionSpec::run_with_scratch, f)
 }
 
 /// Access to the post-run strategy logic, implemented by every resolver
 /// product flowing through [`batch_resolve`] ([`CellOutcome`] and
 /// [`SessionReply`]). This is the hook the [QoE table](crate::qoe) rides:
 /// the batch layer derives one row per applicable session from whatever
-/// the resolver produced, on every resolution path alike.
+/// the resolver produced.
 pub(crate) trait HasLogic {
     fn strategy_logic(&self) -> &StrategyLogic;
 }
@@ -446,16 +235,16 @@ impl HasLogic for CellOutcome {
     }
 }
 
-/// [`batch_cached`] with the per-leader resolution step abstracted out, so
-/// [`query_many`](crate::query::query_many) reuses the dedup/fan-out/metric
-/// replay machinery with [`SessionSpec::obtain_reply`] as the resolver. The
-/// resolver returns the leader's value plus the retained cache cell (when
-/// cacheable), whose stored metrics delta is replayed once per duplicate.
+/// The ordered fan-out behind [`run_many`], [`map_many`],
+/// [`query_many`](crate::query::query_many) and the campaign shards: every
+/// spec is resolved by `resolve` on a worker's scratch and reduced by
+/// `f(index, &product)` in the same worker, and results come back ordered
+/// by spec index whatever the worker count.
 ///
 /// When the [QoE collector](crate::qoe) is installed, each worker also
-/// derives a [`qoe::QoeRow`] per applicable member during the fan-out; the
-/// rows are scattered back by index and pushed to the collector in
-/// ascending spec order, so the table never sees worker interleaving.
+/// derives a [`qoe::QoeRow`] per applicable session; the rows are pushed to
+/// the collector in ascending spec order, so the table never sees worker
+/// interleaving.
 pub(crate) fn batch_resolve<R, T, G, F>(
     specs: &[SessionSpec],
     jobs: usize,
@@ -465,77 +254,28 @@ pub(crate) fn batch_resolve<R, T, G, F>(
 where
     R: HasLogic,
     T: Send,
-    G: Fn(&SessionSpec, &mut SessionScratch) -> (Option<R>, Option<Arc<cache::CachedCell>>)
-        + Sync,
+    G: Fn(&SessionSpec, &mut SessionScratch) -> Option<R> + Sync,
     F: Fn(usize, &R) -> T + Sync,
 {
-    let cacheable = cache::is_active();
-    let keys: Vec<cache::SessionKey> = specs
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            if cacheable && s.shared {
-                cache::key_of(s)
-            } else {
-                // Sentinel: real keys start with a small client
-                // discriminant, so `u64::MAX` cannot collide.
-                let mut k = [0u64; 14];
-                k[0] = u64::MAX;
-                k[1] = i as u64;
-                k
-            }
-        })
-        .collect();
-    let (leaders, owner) = exec::dedup_by_key(&keys);
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); leaders.len()];
-    for (i, &o) in owner.iter().enumerate() {
-        members[o].push(i);
-    }
     let collect_qoe = qoe::is_active();
-    let per_leader: Vec<Vec<(usize, Option<T>, Option<qoe::QoeRow>)>> =
-        exec::par_indexed_with_finish(
-            leaders.len(),
-            jobs,
-            || batch_scratch(specs),
-            |scratch, u| {
-                let leader = leaders[u];
-                let (out, cell) = resolve(&specs[leader], scratch);
-                members[u]
-                    .iter()
-                    .map(|&i| {
-                        if i != leader {
-                            if let Some(cell) = &cell {
-                                let m = scratch.metrics_mut();
-                                m.merge(&cell.metrics);
-                                m.add(Counter::CacheHits, 1);
-                            }
-                        }
-                        let row = if collect_qoe {
-                            out.as_ref()
-                                .map(|o| qoe::QoeRow::of(&specs[i], o.strategy_logic()))
-                        } else {
-                            None
-                        };
-                        (i, out.as_ref().map(|o| f(i, o)), row)
-                    })
-                    .collect()
-            },
-            |mut scratch| scratch.flush_metrics(),
-        );
-    let mut results: Vec<Option<T>> = Vec::with_capacity(specs.len());
-    results.resize_with(specs.len(), || None);
-    let mut rows: Vec<Option<qoe::QoeRow>> = Vec::new();
-    if collect_qoe {
-        rows.resize_with(specs.len(), || None);
-    }
-    for group in per_leader {
-        for (i, r, row) in group {
-            results[i] = r;
-            if collect_qoe {
-                rows[i] = row;
-            }
-        }
-    }
+    let resolved: Vec<(Option<T>, Option<qoe::QoeRow>)> = exec::par_indexed_with_finish(
+        specs.len(),
+        jobs,
+        || batch_scratch(specs),
+        |scratch, i| {
+            let out = resolve(&specs[i], scratch);
+            let row = if collect_qoe {
+                out.as_ref()
+                    .map(|o| qoe::QoeRow::of(&specs[i], o.strategy_logic()))
+            } else {
+                None
+            };
+            (out.as_ref().map(|o| f(i, o)), row)
+        },
+        |mut scratch| scratch.flush_metrics(),
+    );
+    let (results, rows): (Vec<Option<T>>, Vec<Option<qoe::QoeRow>>) =
+        resolved.into_iter().unzip();
     if collect_qoe {
         qoe::push_batch(rows);
     }
@@ -553,9 +293,8 @@ fn batch_scratch(specs: &[SessionSpec]) -> SessionScratch {
 
 /// Everything measured from one simulated streaming session.
 ///
-/// `Clone` exists for [`run_many`]'s batch fan-out: a deduped outcome is
-/// cloned to each duplicate index, which must be indistinguishable from
-/// having re-run the (pure) session.
+/// `Clone` exists for [`run_many`], which clones each worker's outcome out
+/// of the in-worker reduction.
 #[derive(Clone)]
 pub struct CellOutcome {
     /// The packet capture taken at the client.
@@ -616,29 +355,26 @@ pub fn run_cell_interrupted(
 }
 
 fn finish(
-    profile: NetworkProfile,
-    seed: u64,
-    capture: SimDuration,
+    spec: &SessionSpec,
     logic: StrategyLogic,
-    watch_time: Option<SimDuration>,
-    cross: Option<LrdCrossConfig>,
     scratch: &mut SessionScratch,
-    tap: Option<(&mut dyn PacketSink, bool)>,
+    tap: Option<&mut dyn PacketSink>,
 ) -> CellOutcome {
+    let profile = spec.profile;
     let mut eng = Engine::with_scratch(
         profile.build_path(),
-        seed,
-        capture,
+        spec.seed,
+        spec.capture,
         std::mem::take(scratch),
     );
-    if let Some(cfg) = cross {
-        eng.set_lrd_cross_traffic(cfg, seed);
+    if let Some(cfg) = spec.cross {
+        eng.set_lrd_cross_traffic(cfg, spec.seed);
     }
-    let logic = match watch_time {
+    let logic = match spec.watch_time {
         Some(w) => {
             let mut wrapped = InterruptAfter::new(logic, w);
             match tap {
-                Some((sink, keep)) => eng.run_observed(&mut wrapped, sink, keep),
+                Some(sink) => eng.run_observed(&mut wrapped, sink),
                 None => eng.run(&mut wrapped),
             }
             wrapped.inner
@@ -646,7 +382,7 @@ fn finish(
         None => {
             let mut logic = logic;
             match tap {
-                Some((sink, keep)) => eng.run_observed(&mut logic, sink, keep),
+                Some(sink) => eng.run_observed(&mut logic, sink),
                 None => eng.run(&mut logic),
             }
             logic

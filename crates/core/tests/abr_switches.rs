@@ -8,17 +8,11 @@
 //!   oracle ([`switch_counts_of`] over the retained trace's connection
 //!   summaries) — the fold never sees the trace, the oracle never sees the
 //!   packet stream;
-//! * all four resolution paths — batch, streaming live-tap, streaming
-//!   cache-miss, streaming cache-hit (packed-column replay) — return
-//!   byte-equal switch counts and QoE summaries;
 //! * the QoE reply's `switches` equals the client logic's own counter (the
 //!   ground truth the flight-recorder suite ties to emitted events).
-//!
-//! One `#[test]`, deliberately: the streaming flag and the session cache
-//! are process globals.
 
 use vstream::prelude::*;
-use vstream::{cache, query_many_jobs, run_many_jobs, SessionQuery};
+use vstream::{query_many_jobs, run_many_jobs, SessionQuery};
 use vstream_analysis::switch_counts_of;
 use vstream_net::LrdCrossConfig;
 use vstream_sim::derive_seed;
@@ -64,8 +58,7 @@ fn spec_for(seed: u64, shape: &Shape) -> SessionSpec {
         NetworkProfile::Home,
         derive_seed(0xAB12, &[seed]),
         SimDuration::from_secs(45),
-    )
-    .shared();
+    );
     match shape.cross {
         Some(c) => spec.with_lrd_cross(c),
         None => spec,
@@ -73,7 +66,7 @@ fn spec_for(seed: u64, shape: &Shape) -> SessionSpec {
 }
 
 #[test]
-fn switch_fold_matches_oracle_on_every_path() {
+fn switch_fold_matches_column_scan_oracle() {
     let shapes = shapes();
     // Specs are grouped by shape so each group can use its own query.
     let spec_groups: Vec<Vec<SessionSpec>> = shapes
@@ -81,27 +74,16 @@ fn switch_fold_matches_oracle_on_every_path() {
         .map(|shape| (0..SEEDS).map(|seed| spec_for(seed, shape)).collect())
         .collect();
 
+    let mut loaded = 0;
     for (si, (shape, specs)) in shapes.iter().zip(&spec_groups).enumerate() {
         let query = SessionQuery::default()
             .qoe()
             .switch_rate(shape.ladder.clone(), shape.segment_ms);
 
-        // Column-scan oracle from full outcomes (traces retained).
-        vstream::set_streaming(false);
+        // Column-scan oracle from full outcomes (traces retained); the
+        // query folds the live tap and never sees a trace.
         let outcomes = run_many_jobs(specs, 2);
-
-        // Path 1: batch query (trace replayed through the fold).
-        let batch = query_many_jobs(specs, 2, &query);
-        // Path 2: streaming live-tap, no cache, no trace ever built.
-        vstream::set_streaming(true);
-        let streamed = query_many_jobs(specs, 2, &query);
-        // Paths 3 + 4: cache miss (live tap + pack), then hit (packed
-        // replay).
-        cache::install();
-        let miss = query_many_jobs(specs, 2, &query);
-        let hit = query_many_jobs(specs, 2, &query);
-        cache::uninstall();
-        vstream::set_streaming(false);
+        let replies = query_many_jobs(specs, 2, &query);
 
         for seed in 0..SEEDS as usize {
             let ctx = format!("shape {si} seed {seed}");
@@ -112,34 +94,25 @@ fn switch_fold_matches_oracle_on_every_path() {
                 shape.segment_ms,
             );
             let truth = out.logic.switches();
-
-            for (path, replies) in [
-                ("batch", &batch),
-                ("streaming", &streamed),
-                ("cache-miss", &miss),
-                ("cache-hit", &hit),
-            ] {
-                let reply = replies[seed].as_ref().expect("Dash over HTML5 applies");
-                assert_eq!(
-                    reply.answer.switch_counts,
-                    Some(oracle),
-                    "{ctx}: {path} switch counts vs column-scan oracle"
-                );
-                let q = reply.answer.qoe.as_ref().expect("qoe queried");
-                assert_eq!(q.switches, truth, "{ctx}: {path} client switch counter");
+            if si == 1 {
+                loaded += truth;
             }
+
+            let reply = replies[seed].as_ref().expect("Dash over HTML5 applies");
+            assert_eq!(
+                reply.answer.switch_counts,
+                Some(oracle),
+                "{ctx}: switch counts vs column-scan oracle"
+            );
+            let q = reply.answer.qoe.as_ref().expect("qoe queried");
+            assert_eq!(q.switches, truth, "{ctx}: client switch counter");
             // The session must actually fetch segments for the suite to
             // mean anything.
             assert!(oracle.segments > 3, "{ctx}: only {} segments", oracle.segments);
         }
     }
 
-    // At least one (seed, shape) pair in the loaded groups must have
-    // switched — otherwise the suite never exercised a rung change.
-    vstream::set_streaming(false);
-    let loaded: u64 = spec_groups[1]
-        .iter()
-        .filter_map(|s| s.run().map(|o| o.logic.switches()))
-        .sum();
+    // At least one seed in the half-loaded group must have switched —
+    // otherwise the suite never exercised a rung change.
     assert!(loaded > 0, "no switches across the half-loaded group");
 }

@@ -1,20 +1,22 @@
-//! End-to-end streaming/batch equivalence for the query layer.
+//! End-to-end check of the query layer against a retained-trace oracle.
 //!
-//! One test, deliberately: both the streaming flag and the session cache
-//! are process globals, so the four execution paths of
-//! `SessionSpec::obtain_reply` — batch, streaming-uncached, streaming
-//! cache-miss, streaming cache-hit (packed-column replay) — are driven in
-//! sequence from a single `#[test]` and their replies compared field by
-//! field. This is the session-level form of the fold-vs-oracle suite in
+//! `query_many` folds each session's packets live on the engine's tap and
+//! never builds a trace. The oracle runs the same specs through
+//! `SessionSpec::run`, which retains the capture, and replays that trace
+//! through freshly built folds. The replies must equal the oracle field by
+//! field. This is the session-level form of the fold-vs-column-scan suite in
 //! `vstream-analysis`: the folds are proven against the column scans there;
-//! here the claim is that every path through the session layer feeds those
-//! folds the same packet stream.
+//! here the claim is that the live tap feeds them the packet stream the
+//! trace records.
 
 use vstream::prelude::*;
-use vstream::{cache, query_many_jobs, set_streaming, SessionQuery, SessionReply};
+use vstream::{query_many_jobs, SessionAnswer, SessionQuery, SessionReply};
+use vstream_analysis::{
+    AnalysisFold, DownloadFold, SummariesFold, ThroughputFold, TotalsFold, WindowFold,
+};
 
-/// A small shared cell: short captures keep the test fast, several seeds
-/// exercise the dedup/leader machinery, pacing produces real ON/OFF cycles.
+/// A small cell: short captures keep the test fast, pacing produces real
+/// ON/OFF cycles.
 fn specs() -> Vec<SessionSpec> {
     (0..4u64)
         .map(|i| {
@@ -26,16 +28,18 @@ fn specs() -> Vec<SessionSpec> {
                 0xF01D + i,
                 SimDuration::from_secs(45),
             )
-            .shared()
         })
         .collect()
 }
 
+const DOWNLOAD_STEP: SimDuration = SimDuration::from_millis(20);
+const THROUGHPUT_BIN: SimDuration = SimDuration::from_millis(100);
+
 fn full_query() -> SessionQuery {
     SessionQuery::default()
-        .download(SimDuration::from_millis(20))
+        .download(DOWNLOAD_STEP)
         .window(0)
-        .throughput(SimDuration::from_millis(100))
+        .throughput(THROUGHPUT_BIN)
         .onoff()
         .phases()
         .ack_clock()
@@ -43,90 +47,81 @@ fn full_query() -> SessionQuery {
         .totals()
 }
 
-fn assert_replies_eq(a: &[Option<SessionReply>], b: &[Option<SessionReply>], ctx: &str) {
-    assert_eq!(a.len(), b.len(), "{ctx}: reply count");
-    for (i, (ra, rb)) in a.iter().zip(b).enumerate() {
-        let (ra, rb) = match (ra, rb) {
-            (Some(ra), Some(rb)) => (ra, rb),
-            (None, None) => continue,
-            _ => panic!("{ctx}: reply {i} presence differs"),
-        };
-        let (aa, ab) = (&ra.answer, &rb.answer);
-        assert_eq!(aa.download_mb, ab.download_mb, "{ctx}: reply {i} download");
-        assert_eq!(aa.window_series, ab.window_series, "{ctx}: reply {i} window");
-        assert_eq!(aa.throughput, ab.throughput, "{ctx}: reply {i} throughput");
-        let (oa, ob) = (
-            aa.onoff.as_ref().expect("onoff queried"),
-            ab.onoff.as_ref().expect("onoff queried"),
-        );
-        assert_eq!(oa.cycles, ob.cycles, "{ctx}: reply {i} cycles");
-        assert_eq!(oa.off_periods, ob.off_periods, "{ctx}: reply {i} off periods");
-        let (pa, pb) = (
-            aa.phases.as_ref().expect("phases queried"),
-            ab.phases.as_ref().expect("phases queried"),
-        );
-        assert_eq!(pa.start, pb.start, "{ctx}: reply {i} phase start");
-        assert_eq!(pa.buffering_end, pb.buffering_end, "{ctx}: reply {i} buffering end");
-        assert_eq!(pa.buffering_bytes, pb.buffering_bytes, "{ctx}: reply {i} buffering bytes");
-        assert_eq!(
-            pa.steady_state_rate_bps, pb.steady_state_rate_bps,
-            "{ctx}: reply {i} steady rate"
-        );
-        assert_eq!(pa.total_bytes, pb.total_bytes, "{ctx}: reply {i} total bytes");
-        assert_eq!(pa.duration, pb.duration, "{ctx}: reply {i} phase duration");
-        assert_eq!(aa.first_rtt_bytes, ab.first_rtt_bytes, "{ctx}: reply {i} first-rtt");
-        assert_eq!(aa.summaries, ab.summaries, "{ctx}: reply {i} summaries");
-        assert_eq!(aa.totals, ab.totals, "{ctx}: reply {i} totals");
-
-        assert_eq!(ra.connections, rb.connections, "{ctx}: reply {i} connections");
-        assert_eq!(
-            ra.connection_stats, rb.connection_stats,
-            "{ctx}: reply {i} connection stats"
-        );
-        assert_eq!(ra.base_rtt, rb.base_rtt, "{ctx}: reply {i} base rtt");
-        assert_eq!(
-            ra.player_stats(),
-            rb.player_stats(),
-            "{ctx}: reply {i} player stats"
-        );
+/// The answer `full_query` asks for, computed by replaying the retained
+/// trace of `out` through one fresh fold per feature.
+fn oracle(out: &CellOutcome) -> SessionAnswer {
+    let trace = &out.trace;
+    let mut download = DownloadFold::new(DOWNLOAD_STEP);
+    trace.replay(&mut download);
+    let mut window = WindowFold::new(0);
+    trace.replay(&mut window);
+    let mut throughput = ThroughputFold::new(THROUGHPUT_BIN);
+    trace.replay(&mut throughput);
+    let mut analysis = AnalysisFold::new(AnalysisConfig::default())
+        .with_phases()
+        .with_ack_clock(out.base_rtt);
+    trace.replay(&mut analysis);
+    let analysis = analysis.finish();
+    let mut summaries = SummariesFold::new();
+    trace.replay(&mut summaries);
+    let mut totals = TotalsFold::new();
+    trace.replay(&mut totals);
+    SessionAnswer {
+        download_mb: Some(download.finish()),
+        window_series: Some(window.finish()),
+        throughput: Some(throughput.finish()),
+        onoff: Some(analysis.onoff),
+        phases: analysis.phases,
+        first_rtt_bytes: analysis.first_rtt_bytes,
+        summaries: Some(summaries.finish()),
+        totals: Some(totals.finish()),
+        ..SessionAnswer::default()
     }
+}
+
+fn assert_reply_matches(reply: &SessionReply, out: &CellOutcome, i: usize) {
+    let (aa, ab) = (&reply.answer, &oracle(out));
+    assert_eq!(aa.download_mb, ab.download_mb, "reply {i} download");
+    assert_eq!(aa.window_series, ab.window_series, "reply {i} window");
+    assert_eq!(aa.throughput, ab.throughput, "reply {i} throughput");
+    let (oa, ob) = (
+        aa.onoff.as_ref().expect("onoff queried"),
+        ab.onoff.as_ref().expect("onoff in oracle"),
+    );
+    assert_eq!(oa.cycles, ob.cycles, "reply {i} cycles");
+    assert_eq!(oa.off_periods, ob.off_periods, "reply {i} off periods");
+    let (pa, pb) = (
+        aa.phases.as_ref().expect("phases queried"),
+        ab.phases.as_ref().expect("phases in oracle"),
+    );
+    assert_eq!(pa.start, pb.start, "reply {i} phase start");
+    assert_eq!(pa.buffering_end, pb.buffering_end, "reply {i} buffering end");
+    assert_eq!(pa.buffering_bytes, pb.buffering_bytes, "reply {i} buffering bytes");
+    assert_eq!(pa.steady_state_rate_bps, pb.steady_state_rate_bps, "reply {i} steady rate");
+    assert_eq!(pa.total_bytes, pb.total_bytes, "reply {i} total bytes");
+    assert_eq!(pa.duration, pb.duration, "reply {i} phase duration");
+    assert_eq!(aa.first_rtt_bytes, ab.first_rtt_bytes, "reply {i} first-rtt");
+    assert_eq!(aa.summaries, ab.summaries, "reply {i} summaries");
+    assert_eq!(aa.totals, ab.totals, "reply {i} totals");
+
+    assert_eq!(reply.connections, out.connections, "reply {i} connections");
+    assert_eq!(reply.connection_stats, out.connection_stats, "reply {i} connection stats");
+    assert_eq!(reply.base_rtt, out.base_rtt, "reply {i} base rtt");
+    assert_eq!(reply.player_stats(), out.player_stats(), "reply {i} player stats");
 }
 
 #[test]
 fn streaming_paths_match_batch_replies() {
     let specs = specs();
     let query = full_query();
-
-    // Reference: batch mode (trace retained, replayed through the folds).
-    set_streaming(false);
-    let batch = query_many_jobs(&specs, 2, &query);
-    assert!(
-        batch.iter().all(Option::is_some),
-        "every session applies in this cell"
-    );
-    assert!(
-        batch[0].as_ref().unwrap().answer.totals.unwrap().packets > 0,
-        "sessions produce traffic"
-    );
-
-    // Path 2: streaming without a cache — live tap, no trace ever built.
-    set_streaming(true);
-    let streamed = query_many_jobs(&specs, 2, &query);
-    assert_replies_eq(&batch, &streamed, "streaming uncached vs batch");
-
-    // Paths 3 and 4: streaming with the cache installed. The first pass
-    // misses (live tap + transient trace packed into the cell); the second
-    // pass hits and replays the packed columns through a fresh fold.
-    cache::install();
-    let miss = query_many_jobs(&specs, 2, &query);
-    let hit = query_many_jobs(&specs, 2, &query);
-    // A batch-mode pass over the same warm cache unpacks the cell's columns
-    // instead of re-simulating — the fifth source of the same packet stream.
-    set_streaming(false);
-    let batch_hit = query_many_jobs(&specs, 2, &query);
-    cache::uninstall();
-
-    assert_replies_eq(&batch, &miss, "streaming cache-miss vs batch");
-    assert_replies_eq(&batch, &hit, "streaming cache-hit (packed replay) vs batch");
-    assert_replies_eq(&batch, &batch_hit, "batch cache-hit vs batch");
+    for jobs in [1, 2] {
+        let replies = query_many_jobs(&specs, jobs, &query);
+        assert_eq!(replies.len(), specs.len());
+        for (i, (reply, spec)) in replies.iter().zip(&specs).enumerate() {
+            let reply = reply.as_ref().expect("every session applies in this cell");
+            let out = spec.run().expect("every session applies in this cell");
+            assert!(!out.trace.is_empty(), "sessions produce traffic");
+            assert_reply_matches(reply, &out, i);
+        }
+    }
 }

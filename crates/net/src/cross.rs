@@ -11,9 +11,9 @@
 //! of such an aggregate; the per-source Pareto-ON / exponential-OFF state
 //! machines live in the session engine, which owns the event queue.
 //!
-//! All fields are integers so the config can be embedded verbatim in
-//! session cache keys — determinism across `--jobs`, `--streaming`, and
-//! cache replay requires the key to pin every behaviour-affecting bit.
+//! All fields are integers, so a session spec carrying the config stays an
+//! exact, hashable value: every behaviour-affecting bit is pinned, which
+//! is what keeps a session a pure function of its spec at any `--jobs`.
 
 /// An aggregate of identical heavy-tailed on/off sources on the downlink.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -92,9 +92,9 @@ impl LrdCrossConfig {
         (self.peak_bps as u128 * ns as u128 / 8_000_000_000) as u64
     }
 
-    /// The config's identity as cache-key words: callers hashing a session
-    /// spec embed these three words (plus a presence flag) so two sessions
-    /// differing only in cross-traffic shape can never collide.
+    /// The config's identity as three words: callers keying a session spec
+    /// embed these (plus a presence flag) so two sessions differing only in
+    /// cross-traffic shape can never collide.
     pub fn key_words(&self) -> [u64; 3] {
         [
             (self.sources as u64) << 32 | self.alpha_milli as u64,

@@ -201,12 +201,12 @@ slots! {
         CapturePackets => "capture_packets",
         /// Sessions whose trace buffer outgrew its pre-sized capacity.
         CaptureTraceRegrows => "capture_trace_regrows",
-        /// Session-cache lookups answered from a previously stored outcome.
+        /// Retired with the session cache: always 0. The slot stays in the
+        /// ledger schema because benchmark scripts still index it.
         CacheHits => "cache_hits",
-        /// Session-cache lookups that had to run the engine.
+        /// Retired with the session cache: always 0 (see `cache_hits`).
         CacheMisses => "cache_misses",
-        /// Bytes retained by the session cache across the run (the cache is
-        /// per-run and never evicts, so inserts accumulate monotonically).
+        /// Retired with the session cache: always 0 (see `cache_hits`).
         CacheBytesRetained => "cache_bytes_retained",
     }
 }
@@ -249,12 +249,12 @@ slots! {
 
 impl Counter {
     /// Counters that measure the *execution* (worker count, allocator
-    /// warm-up, cache configuration) rather than the simulation: a worker's
-    /// first session runs on a cold scratch, so scratch reuse legitimately
-    /// varies with `--jobs`, and the session-cache counters vary with
-    /// `--no-cache` while the simulated output does not. The collector
-    /// zeroes them alongside wall time when byte-comparable ledgers are
-    /// requested.
+    /// warm-up) rather than the simulation: a worker's first session runs
+    /// on a cold scratch, so scratch reuse legitimately varies with
+    /// `--jobs` while the simulated output does not. The retired cache
+    /// counters stay listed so the byte-comparable ledger keeps its shape.
+    /// The collector zeroes them alongside wall time when byte-comparable
+    /// ledgers are requested.
     pub const EXECUTION_DEPENDENT: [Counter; 5] = [
         Counter::SimScratchReuseHits,
         Counter::CaptureTraceRegrows,
@@ -267,9 +267,10 @@ impl Counter {
 impl Gauge {
     /// Gauges that measure the *execution* rather than the simulation: peak
     /// trace residency depends on scratch reuse (worker layout) and on
-    /// whether the run retains traces at all (`--streaming`), and fold-state
-    /// residency exists only in streaming mode. The collector zeroes them
-    /// alongside wall time when byte-comparable ledgers are requested.
+    /// whether a session retains its trace at all (live-tap queries never
+    /// do), and fold-state residency exists only on the query path. The
+    /// collector zeroes them alongside wall time when byte-comparable
+    /// ledgers are requested.
     pub const EXECUTION_DEPENDENT: [Gauge; 2] = [Gauge::PeakTraceBytes, Gauge::PeakFlowstateBytes];
 }
 

@@ -20,7 +20,7 @@
 //!    then touches thread-local state.
 //! 3. **Determinism.** Events carry simulation time, never wall time, and
 //!    a session's event stream is a pure function of its spec — so trace
-//!    dumps are byte-identical across `--jobs`, cache, and `--streaming`.
+//!    dumps are byte-identical across `--jobs`.
 //!
 //! The recorder lives in a thread-local slot rather than inside the
 //! engine because the emitting layers (`sim`, `net`, `tcp`) sit *below*
@@ -321,8 +321,8 @@ pub fn emit(at_ns: u64, kind: EventKind, side: u8, conn: u16, a: u64, b: u64) {
 /// Incremental QoE reduction over a session's event stream.
 ///
 /// This is the *event-level* mirror of the stats-derived QoE row the
-/// production path computes from `PlayerStats` (which survives cache
-/// hits, where no events exist). The flight-recorder test suite holds
+/// production path computes from `PlayerStats` (which exists whether or
+/// not tracing recorded any events). The flight-recorder test suite holds
 /// the two reductions equal on full (non-wrapped) event streams; dumps
 /// use this fold to annotate timelines.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -22,8 +22,6 @@
 //! session (long video, lossy profile) does not stall the neighbours a
 //! static chunking would have assigned to the same worker.
 
-use std::collections::HashMap;
-use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -182,31 +180,6 @@ where
         .iter_mut()
         .map(|slot| slot.take().expect("executor: missing result slot"))
         .collect()
-}
-
-/// The dedup-before-dispatch stage for batches whose work items are pure
-/// functions of a content key (e.g. memoized simulation sessions).
-///
-/// Given one key per work item, returns `(leaders, owner)` where `leaders`
-/// lists the index of each distinct key's **first occurrence**, in batch
-/// order, and `owner[i]` is the position within `leaders` of item `i`'s
-/// key. A caller dispatches only the leaders (e.g. through
-/// [`par_indexed_with`]) and fans each result back out to every duplicate
-/// through `owner` — so a batch with duplicates does the unique work once
-/// while the output stays ordered by original index, preserving the
-/// determinism contract at any worker count.
-pub fn dedup_by_key<K: Eq + Hash>(keys: &[K]) -> (Vec<usize>, Vec<usize>) {
-    let mut first: HashMap<&K, usize> = HashMap::with_capacity(keys.len());
-    let mut leaders = Vec::new();
-    let mut owner = Vec::with_capacity(keys.len());
-    for (i, k) in keys.iter().enumerate() {
-        let pos = *first.entry(k).or_insert_with(|| {
-            leaders.push(i);
-            leaders.len() - 1
-        });
-        owner.push(pos);
-    }
-    (leaders, owner)
 }
 
 /// A deterministic partition of `n` work items into fixed-size shards: the
@@ -393,28 +366,6 @@ mod tests {
             // The per-worker partial sums always total the full batch.
             assert_eq!(total.load(Ordering::Relaxed), (0..20u64).sum::<u64>(), "jobs = {jobs}");
         }
-    }
-
-    #[test]
-    fn dedup_by_key_groups_first_occurrences_in_order() {
-        let keys = ["a", "b", "a", "c", "b", "a"];
-        let (leaders, owner) = dedup_by_key(&keys);
-        assert_eq!(leaders, vec![0, 1, 3]);
-        assert_eq!(owner, vec![0, 1, 0, 2, 1, 0]);
-        // Round trip: every item's key equals its leader's key.
-        for (i, &o) in owner.iter().enumerate() {
-            assert_eq!(keys[i], keys[leaders[o]]);
-        }
-    }
-
-    #[test]
-    fn dedup_by_key_with_all_unique_and_all_equal() {
-        let unique = [1, 2, 3];
-        assert_eq!(dedup_by_key(&unique), (vec![0, 1, 2], vec![0, 1, 2]));
-        let equal = [9, 9, 9, 9];
-        assert_eq!(dedup_by_key(&equal), (vec![0], vec![0, 0, 0, 0]));
-        let empty: [u8; 0] = [];
-        assert_eq!(dedup_by_key(&empty), (Vec::new(), Vec::new()));
     }
 
     #[test]
