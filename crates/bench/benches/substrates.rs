@@ -337,6 +337,55 @@ fn bench_abr(c: &mut Criterion) {
     g.finish();
 }
 
+/// Loss recovery: one DASH session under the ext-qoe sweep's heaviest LRD
+/// load, where drop-tail overflow forces fast retransmit, SACK hole repair
+/// and RTOs on most block downloads. This row prices the TCP range
+/// bookkeeping (reassembly, SACK scoreboard, pending retransmissions) that
+/// dominates `repro ext-qoe`; the line printed after it gives the session's
+/// deterministic work counts, so its ns/segment compares across hosts.
+fn bench_recovery(c: &mut Criterion) {
+    let spec = SessionSpec::new(
+        Client::Dash,
+        Container::Html5,
+        Video::new(1, 1_000_000, SimDuration::from_secs(2400)),
+        NetworkProfile::Home,
+        0xD5A3,
+        SimDuration::from_secs(180),
+    )
+    .with_lrd_cross(LrdCrossConfig::for_load(NetworkProfile::Home.down_bps(), 850));
+
+    let mut g = c.benchmark_group("recovery");
+    g.sample_size(10).measurement_time(Duration::from_secs(20)).warm_up_time(Duration::from_secs(1));
+    g.bench_function("dash_180s_lrd_load_850", |b| {
+        let mut scratch = SessionScratch::new();
+        b.iter(|| {
+            black_box(
+                black_box(&spec)
+                    .run_with_scratch(&mut scratch)
+                    .unwrap()
+                    .trace
+                    .len(),
+            )
+        });
+        scratch.flush_metrics();
+    });
+    g.finish();
+
+    let full = "recovery/dash_180s_lrd_load_850";
+    if let Some(r) = c.results().iter().find(|r| r.name == full) {
+        let out = spec.run().expect("DASH is applicable");
+        let (sent, retx, rtos) = out.connection_stats.iter().fold((0, 0, 0), |(d, x, t), (_, s)| {
+            (d + s.data_segments_sent, x + s.retx_segments, t + s.timeouts)
+        });
+        println!(
+            "{full:<45} work: {sent} new + {retx} retransmitted segments ({:.1}% retx), \
+             {rtos} RTOs = {:.0} ns/segment",
+            100.0 * retx as f64 / (sent + retx).max(1) as f64,
+            r.median_ns / (sent + retx).max(1) as f64
+        );
+    }
+}
+
 fn bench_fluid_model(c: &mut Criterion) {
     use vstream_model::{FluidSim, FluidStrategy, PopulationModel};
     let pop = PopulationModel {
@@ -363,6 +412,7 @@ criterion_group!(
     bench_streaming_query,
     bench_tracing,
     bench_abr,
+    bench_recovery,
     bench_fluid_model
 );
 criterion_main!(benches);

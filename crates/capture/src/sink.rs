@@ -19,8 +19,7 @@
 //! [`Trace`] itself implements [`PacketSink`], which is what makes the
 //! modes interchangeable: recording a replay reproduces the original
 //! capture exactly, and any fold fed by the tap can be checked against the
-//! corresponding column scan of the recorded trace. [`Tee`] splits one
-//! stream to two sinks for the record-and-fold case.
+//! corresponding column scan of the recorded trace.
 
 use vstream_sim::SimTime;
 use vstream_tcp::segment::SackBlocks;
@@ -157,28 +156,6 @@ impl PacketSink for NullSink {
     fn packet(&mut self, _p: &TapPacket) {}
 }
 
-/// Feeds one packet stream to two sinks, in order — e.g. retaining the
-/// capture ([`Trace`] as sink `a`) while folding analysis features on the
-/// fly (sink `b`).
-pub struct Tee<'a, A: PacketSink + ?Sized, B: PacketSink + ?Sized> {
-    a: &'a mut A,
-    b: &'a mut B,
-}
-
-impl<'a, A: PacketSink + ?Sized, B: PacketSink + ?Sized> Tee<'a, A, B> {
-    /// A tee over the two sinks.
-    pub fn new(a: &'a mut A, b: &'a mut B) -> Self {
-        Tee { a, b }
-    }
-}
-
-impl<A: PacketSink + ?Sized, B: PacketSink + ?Sized> PacketSink for Tee<'_, A, B> {
-    fn packet(&mut self, p: &TapPacket) {
-        self.a.packet(p);
-        self.b.packet(p);
-    }
-}
-
 impl PacketSink for Trace {
     /// Records the packet — the columnar push, reusing the pre-built flag
     /// byte instead of re-deriving it from a [`Segment`].
@@ -247,23 +224,5 @@ mod tests {
             sunk.packet(&TapPacket::new(SimTime::from_millis(ms), dir, &s));
         }
         assert_eq!(direct, sunk);
-    }
-
-    #[test]
-    fn tee_feeds_both_sinks_in_order() {
-        let mut a = Trace::new();
-        let mut b = Trace::new();
-        {
-            let mut tee = Tee::new(&mut a, &mut b);
-            for i in 0..5u64 {
-                tee.packet(&TapPacket::new(
-                    SimTime::from_millis(i),
-                    TapDirection::Incoming,
-                    &seg(0, 100),
-                ));
-            }
-        }
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 5);
     }
 }

@@ -56,7 +56,7 @@ const CAMPAIGN_TAG: u64 = 0xCA59;
 const CAPTURE_SLACK_SECS: f64 = 60.0;
 
 /// Checkpoint format version; bumping it invalidates old ledgers.
-const SHARD_FORMAT: &str = "vstream-campaign-shard v1";
+const SHARD_FORMAT: &str = "vstream-campaign-shard v2";
 
 /// The default capacity-table scales (concurrent viewers).
 pub const DEFAULT_SCALES: [u64; 3] = [10_000, 100_000, 1_000_000];
@@ -666,9 +666,10 @@ fn shard_path(dir: &Path, k: usize) -> PathBuf {
     dir.join(format!("shard-{k:04}.ckpt"))
 }
 
-/// Serialises one shard's reduction. Integers only; the format is strict
-/// line-oriented text so a truncated or foreign file fails to parse and
-/// the shard is simply recomputed.
+/// Serialises one shard's reduction. Integers only, in strict
+/// line-oriented text closed by an `end` line that carries a digest of
+/// everything before it, so a truncated, corrupted or foreign file fails to
+/// load and the shard is simply recomputed.
 fn serialize_shard(key: u64, k: usize, start: usize, end: usize, r: &Reduction) -> String {
     let mut s = String::with_capacity(256 + r.timeline_bits.len() * 8);
     let _ = writeln!(s, "{SHARD_FORMAT}");
@@ -697,13 +698,21 @@ fn serialize_shard(key: u64, k: usize, start: usize, end: usize, r: &Reduction) 
         let _ = write!(s, "{v}");
     }
     s.push('\n');
-    s.push_str("end\n");
+    let digest = shard_digest(&s);
+    let _ = writeln!(s, "end {digest:016x}");
     s
+}
+
+/// FNV-1a over a checkpoint's body. Each step is a bijection of the running
+/// state, so any single-byte change is always detected.
+fn shard_digest(body: &str) -> u64 {
+    body.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
 /// Writes a shard checkpoint: to a temp file first, renamed into place, so
 /// a mid-write kill leaves no half-checkpoint the resume path could trust
-/// (it could not parse one anyway — `end` is the integrity marker).
+/// (it could not load one anyway — the `end` digest is the integrity
+/// marker).
 fn write_shard(
     dir: &Path,
     key: u64,
@@ -718,9 +727,10 @@ fn write_shard(
     fs::rename(&tmp, &path)
 }
 
-/// Loads shard `k` if a checkpoint exists, parses cleanly, and matches
-/// this campaign's key and shard geometry. Any mismatch (foreign spec,
-/// truncation, corruption) returns `None` and the shard is recomputed.
+/// Loads shard `k` if a checkpoint exists, passes its digest, parses
+/// cleanly, and matches this campaign's key and shard geometry. Any
+/// mismatch (foreign spec, truncation, corruption) returns `None` and the
+/// shard is recomputed.
 fn load_shard(
     dir: &Path,
     key: u64,
@@ -799,10 +809,13 @@ fn parse_shard(
     let timeline: Option<Vec<u64>> =
         lines.next()?.split(' ').map(|w| w.parse().ok()).collect();
     r.timeline_bits = timeline?;
-    if r.timeline_bits.len() != horizon || lines.next()? != "end" {
+    if r.timeline_bits.len() != horizon {
         return None;
     }
-    Some(r)
+    // Only the exact text written for this reduction loads: that checks
+    // the `end` digest, and rejects leading zeros, `+` signs and anything
+    // after the digest line, so a loaded shard is exactly the one written.
+    (serialize_shard(key, k, start, end, &r) == text).then_some(r)
 }
 
 // ---------------------------------------------------------------------------
@@ -1228,8 +1241,8 @@ mod tests {
         assert!((90..180).contains(&bulk), "bulk count {bulk}");
     }
 
-    #[test]
-    fn shard_roundtrip_is_exact() {
+    /// A one-session shard reduction with every field nonzero.
+    fn sample_reduction() -> Reduction {
         let mut r = Reduction::new(8);
         let params = SessionParams {
             strategy: CampaignStrategy::Bulk,
@@ -1249,6 +1262,12 @@ mod tests {
             switches: 0,
         };
         r.absorb_session(&params, &[0, 5_000_000, 0, 3_000_000], &qoe, 90_000_000);
+        r
+    }
+
+    #[test]
+    fn shard_roundtrip_is_exact() {
+        let r = sample_reduction();
         let text = serialize_shard(0xABCD, 1, 4, 8, &r);
         let parsed = parse_shard(&text, 0xABCD, 1, 4, 8, 8).expect("roundtrip");
         assert_eq!(parsed, r);
@@ -1258,6 +1277,117 @@ mod tests {
         assert!(parse_shard(&text, 0xABCD, 1, 4, 8, 9).is_none());
         let truncated = &text[..text.len() - 5];
         assert!(parse_shard(truncated, 0xABCD, 1, 4, 8, 8).is_none());
+    }
+
+    /// Corruptions of a checkpoint, by kind: a truncation, a byte flip, two
+    /// swapped lines, a duplicated line, and a number grown past any integer
+    /// width.
+    const MUTATION_KINDS: usize = 5;
+
+    /// One seeded corruption of `kind` applied to `text`.
+    fn mutate(text: &[u8], kind: usize, rng: &mut SimRng) -> Vec<u8> {
+        let mut lines: Vec<Vec<u8>> = text.split_inclusive(|&b| b == b'\n').map(<[u8]>::to_vec).collect();
+        match kind {
+            0 => text[..rng.choose_index(text.len())].to_vec(),
+            1 => {
+                let mut b = text.to_vec();
+                let i = rng.choose_index(b.len());
+                b[i] ^= rng.uniform_u64(1, 256) as u8;
+                b
+            }
+            2 => {
+                let (i, j) = (rng.choose_index(lines.len()), rng.choose_index(lines.len()));
+                lines.swap(i, j);
+                lines.concat()
+            }
+            3 => {
+                let line = lines[rng.choose_index(lines.len())].clone();
+                lines.insert(rng.choose_index(lines.len() + 1), line);
+                lines.concat()
+            }
+            _ => {
+                let digits: Vec<usize> = (0..text.len()).filter(|&i| text[i].is_ascii_digit()).collect();
+                let at = digits[rng.choose_index(digits.len())];
+                let extra = vec![b'9'; 20 + rng.choose_index(30)];
+                [&text[..at], &extra[..], &text[at..]].concat()
+            }
+        }
+    }
+
+    /// Seeded mutation fuzz of the checkpoint loader. Raw mutants of a valid
+    /// shard must all be rejected (the digest catches them). Mutants of its
+    /// body re-sealed with a fresh digest reach the parser itself, and must
+    /// load as `None` or as a shard that re-serialises to exactly the mutant.
+    /// Nothing may panic.
+    #[test]
+    fn shard_loader_survives_mutation_fuzz() {
+        let (key, k, start, end, horizon) = (0xABCD, 1, 4, 8, 8);
+        let r = sample_reduction();
+        let text = serialize_shard(key, k, start, end, &r);
+        let body = &text[..text.rfind("end ").expect("end line")];
+        let dir = std::env::temp_dir().join(format!("vstream-shard-fuzz-{}", std::process::id()));
+        fs::create_dir_all(&dir).expect("create fuzz dir");
+        let load = |bytes: &[u8]| {
+            fs::write(shard_path(&dir, k), bytes).expect("write mutant");
+            load_shard(&dir, key, k, start, end, horizon)
+        };
+        assert_eq!(load(text.as_bytes()), Some(r.clone()));
+        let mut resealed_accepted = 0;
+        for seed in 0..3000u64 {
+            let mut rng = SimRng::new(0xF0_2200 + seed);
+            let raw = mutate(text.as_bytes(), rng.choose_index(MUTATION_KINDS), &mut rng);
+            if let Some(parsed) = load(&raw) {
+                assert_eq!(raw, text.as_bytes(), "seed {seed}: corrupted shard accepted");
+                assert_eq!(parsed, r, "seed {seed}");
+            }
+            let mut sealed = mutate(body.as_bytes(), rng.choose_index(MUTATION_KINDS), &mut rng);
+            let digest = shard_digest(&String::from_utf8_lossy(&sealed));
+            sealed.extend_from_slice(format!("end {digest:016x}\n").as_bytes());
+            if let Some(parsed) = load(&sealed) {
+                let again = serialize_shard(key, k, start, end, &parsed);
+                assert_eq!(again.as_bytes(), &sealed[..], "seed {seed}: accepted a non-canonical shard");
+                resealed_accepted += 1;
+            }
+        }
+        // Some re-sealed mutants are valid shards (a digit flipped into
+        // another digit): the sweep reaches the parser's accepting path.
+        assert!(resealed_accepted > 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A campaign resumed over a corrupted checkpoint, one corruption of
+    /// each kind in turn, recomputes that shard and emits byte-identical
+    /// output.
+    #[test]
+    fn resume_over_corrupted_checkpoints_is_byte_identical() {
+        let spec = tiny_spec();
+        let render = |report: &CampaignReport| {
+            let mut s = report.to_text();
+            for t in &report.tables {
+                s.push_str(&t.to_csv());
+            }
+            s
+        };
+        let dir = std::env::temp_dir().join(format!("vstream-shard-resume-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let opts = CampaignOptions { jobs: 2, ledger_dir: Some(dir.clone()), ..CampaignOptions::default() };
+        let baseline = render(&run_campaign(&spec, &opts).expect("first run"));
+        let shard = shard_path(&ledger_dir(&dir, spec.key()), 1);
+        let original = fs::read(&shard).expect("shard 1 written");
+        let mut rng = SimRng::new(0x2E5_0000);
+        for kind in 0..MUTATION_KINDS {
+            let mutant = loop {
+                let m = mutate(&original, kind, &mut rng);
+                if m != original {
+                    break m;
+                }
+            };
+            fs::write(&shard, mutant).expect("corrupt shard 1");
+            let resumed = render(&run_campaign(&spec, &opts).expect("resumed run"));
+            assert_eq!(baseline, resumed, "mutation {kind}: corrupted checkpoint changed the output");
+            assert_eq!(fs::read(&shard).expect("shard 1 rewritten"), original, "mutation {kind}");
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -91,17 +91,6 @@ impl LrdCrossConfig {
     pub fn on_bytes(&self, ns: u64) -> u64 {
         (self.peak_bps as u128 * ns as u128 / 8_000_000_000) as u64
     }
-
-    /// The config's identity as three words: callers keying a session spec
-    /// embed these (plus a presence flag) so two sessions differing only in
-    /// cross-traffic shape can never collide.
-    pub fn key_words(&self) -> [u64; 3] {
-        [
-            (self.sources as u64) << 32 | self.alpha_milli as u64,
-            self.peak_bps,
-            (self.mean_on_ms as u64) << 32 | self.mean_off_ms as u64,
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -141,17 +130,5 @@ mod tests {
         assert_eq!(cfg.on_bytes(20_000_000), 20_000);
         // Sub-byte remainders floor.
         assert_eq!(cfg.on_bytes(1), 0);
-    }
-
-    #[test]
-    fn key_words_distinguish_distinct_shapes() {
-        let a = LrdCrossConfig::for_load(20_000_000, 400);
-        let mut b = a;
-        b.alpha_milli = 1200;
-        let mut c = a;
-        c.mean_off_ms = 1501;
-        assert_ne!(a.key_words(), b.key_words());
-        assert_ne!(a.key_words(), c.key_words());
-        assert_eq!(a.key_words(), a.key_words());
     }
 }

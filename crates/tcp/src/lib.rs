@@ -38,6 +38,7 @@ pub mod congestion;
 pub mod cubic;
 pub mod endpoint;
 pub mod reassembly;
+mod rangeset;
 pub mod rtt;
 pub mod segment;
 

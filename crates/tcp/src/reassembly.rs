@@ -10,7 +10,7 @@
 //! [`ReceiveBuffer::read`] lets the buffer fill, which drives the advertised
 //! window to zero and silences the sender (Fig. 2b).
 
-use std::collections::BTreeMap;
+use crate::rangeset::RangeSet;
 
 /// Reassembly buffer and window accounting for one direction of a
 /// connection.
@@ -22,11 +22,9 @@ pub struct ReceiveBuffer {
     unread: u64,
     /// Total buffer capacity in bytes.
     capacity: u64,
-    /// Out-of-order ranges, keyed by start offset; disjoint, non-adjacent,
-    /// and all strictly above `rcv_nxt`.
-    ooo: BTreeMap<u64, u64>,
-    /// Total bytes held in `ooo`.
-    ooo_bytes: u64,
+    /// Out-of-order ranges: merged (disjoint, non-adjacent) and all
+    /// strictly above `rcv_nxt`.
+    ooo: RangeSet,
     /// Sequence offset of the peer's FIN, once seen.
     fin_seq: Option<u64>,
     /// True once `rcv_nxt` has consumed the FIN.
@@ -51,8 +49,7 @@ impl ReceiveBuffer {
             rcv_nxt: 0,
             unread: 0,
             capacity,
-            ooo: BTreeMap::new(),
-            ooo_bytes: 0,
+            ooo: RangeSet::default(),
             fin_seq: None,
             fin_reached: false,
             last_insert: None,
@@ -73,7 +70,7 @@ impl ReceiveBuffer {
 
     /// Currently advertised receive window in bytes.
     pub fn window(&self) -> u64 {
-        self.capacity.saturating_sub(self.unread + self.ooo_bytes)
+        self.capacity.saturating_sub(self.unread + self.ooo.bytes())
     }
 
     /// Bytes available for the application to read.
@@ -114,7 +111,7 @@ impl ReceiveBuffer {
             return 0;
         }
 
-        self.insert_range(start, end);
+        self.last_insert = Some(self.ooo.insert_merge(start, end));
         self.deliver_in_order()
     }
 
@@ -141,8 +138,8 @@ impl ReceiveBuffer {
         // (RFC 2018 §4), so the sender learns about fresh arrivals at once.
         let first = self
             .last_insert
-            .and_then(|s| self.ooo.get(&s).map(|&e| (s, e)))
-            .or_else(|| self.ooo.first_key_value().map(|(&s, &e)| (s, e)));
+            .and_then(|s| self.ooo.get(s).map(|e| (s, e)))
+            .or_else(|| self.ooo.first());
         let first_start = match first {
             Some((s, e)) => {
                 blocks.push(s, e);
@@ -156,10 +153,9 @@ impl ReceiveBuffer {
         for _ in 0..2 {
             let next = self
                 .ooo
-                .range(cursor..)
-                .find(|(&s, _)| s != first_start)
-                .or_else(|| self.ooo.iter().find(|(&s, _)| s != first_start))
-                .map(|(&s, &e)| (s, e));
+                .iter_from(cursor)
+                .find(|&(s, _)| s != first_start)
+                .or_else(|| self.ooo.iter_from(0).find(|&(s, _)| s != first_start));
             match next {
                 Some((s, e)) => {
                     blocks.push(s, e);
@@ -169,7 +165,7 @@ impl ReceiveBuffer {
             }
         }
         self.sack_rotate = cursor;
-        if let Some((_, &e)) = self.ooo.last_key_value() {
+        if let Some((_, e)) = self.ooo.last() {
             blocks.set_highest_end(e);
         }
         blocks
@@ -183,36 +179,9 @@ impl ReceiveBuffer {
         n
     }
 
-    fn insert_range(&mut self, mut start: u64, mut end: u64) {
-        // Merge with any overlapping or adjacent stored ranges.
-        // Candidates: the last range starting at or before `end`, walking
-        // backwards while they still intersect.
-        let overlapping: Vec<u64> = self
-            .ooo
-            .range(..=end)
-            .rev()
-            .take_while(|(_, &e)| e >= start)
-            .map(|(&s, _)| s)
-            .collect();
-        for s in overlapping {
-            let e = self.ooo.remove(&s).expect("key just observed");
-            self.ooo_bytes -= e - s;
-            start = start.min(s);
-            end = end.max(e);
-        }
-        self.ooo.insert(start, end);
-        self.ooo_bytes += end - start;
-        self.last_insert = Some(start);
-    }
-
     fn deliver_in_order(&mut self) -> u64 {
         let mut delivered = 0;
-        while let Some((&s, &e)) = self.ooo.first_key_value() {
-            if s > self.rcv_nxt {
-                break;
-            }
-            self.ooo.remove(&s);
-            self.ooo_bytes -= e - s;
+        while let Some((s, e)) = self.ooo.pop_front_at_or_below(self.rcv_nxt) {
             debug_assert!(s == self.rcv_nxt, "stored range below rcv_nxt");
             delivered += e - self.rcv_nxt;
             self.rcv_nxt = e;

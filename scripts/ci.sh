@@ -39,23 +39,41 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-echo "==> build (release)"
+# Each stage header starts a clock; when the next stage starts (or the run
+# ends) the finished stage's elapsed wall seconds are printed, so the cost
+# of the test suite and of each determinism pass is visible per run.
+stage_name=""
+stage_t0=0
+stage_end() {
+    if [[ -n "$stage_name" ]]; then
+        local us=$(( ${EPOCHREALTIME/./} - stage_t0 ))
+        printf '<== %d.%d s  %s\n' $((us / 1000000)) $((us / 100000 % 10)) "$stage_name"
+    fi
+}
+stage() {
+    stage_end
+    stage_name="$1"
+    stage_t0=${EPOCHREALTIME/./}
+    echo "==> $1"
+}
+
+stage "build (release)"
 cargo build --release --offline
 
-echo "==> tests"
+stage "tests"
 cargo test --offline --quiet
 
-echo "==> determinism: CSVs and metrics ledger invariant under --jobs and --trace-dir"
+stage "determinism: CSVs and metrics ledger invariant under --jobs and --trace-dir"
 scripts/check_determinism.sh
 
 obs_out="$(mktemp -d)"
 trap 'rm -rf "$obs_out"' EXIT
 
-echo "==> committed results: repro all --csv must match results/ byte for byte"
+stage "committed results: repro all --csv must match results/ byte for byte"
 target/release/repro all --csv "$obs_out/results" > /dev/null
 diff -r results "$obs_out/results"
 
-echo "==> metrics neutrality: --metrics must not change the figures"
+stage "metrics neutrality: --metrics must not change the figures"
 target/release/repro fig2 fig4 --csv "$obs_out/plain" > /dev/null
 target/release/repro fig2 fig4 --csv "$obs_out/metered" \
     --metrics "$obs_out/metrics.json" > /dev/null
@@ -63,12 +81,12 @@ diff -r "$obs_out/plain" "$obs_out/metered"
 python3 -m json.tool "$obs_out/metrics.json" > /dev/null
 grep -q '"schema_version"' "$obs_out/metrics.json"
 
-echo "==> streaming memory: no session retains a trace, the folds hold the state"
+stage "streaming memory: no session retains a trace, the folds hold the state"
 # Wall timing is on here, so the execution-dependent gauges are recorded.
 grep -q '"peak_trace_bytes":0[,}]' "$obs_out/metrics.json"
 grep -qE '"peak_flowstate_bytes":[1-9]' "$obs_out/metrics.json"
 
-echo "==> ext-qoe determinism: byte-identical across --jobs"
+stage "ext-qoe determinism: byte-identical across --jobs"
 target/release/repro ext-qoe --jobs 1 --csv "$obs_out/extqoe-ref" > /dev/null
 target/release/repro ext-qoe --jobs 8 --csv "$obs_out/extqoe-j8" > /dev/null
 diff -r "$obs_out/extqoe-ref" "$obs_out/extqoe-j8"
@@ -77,7 +95,7 @@ diff -r "$obs_out/extqoe-ref" "$obs_out/extqoe-j8"
 test -f "$obs_out/extqoe-ref/ext-qoe.csv"
 test -f "$obs_out/extqoe-ref/ext-qoe-switches.csv"
 
-echo "==> trace neutrality: --trace-dir must not change figures, QoE table, or ledger"
+stage "trace neutrality: --trace-dir must not change figures, QoE table, or ledger"
 VSTREAM_WALL=off target/release/repro fig2 fig4 --csv "$obs_out/tr-plain" \
     --metrics "$obs_out/tr-plain.metrics.json" > /dev/null
 VSTREAM_WALL=off target/release/repro fig2 fig4 --csv "$obs_out/tr-traced" \
@@ -91,7 +109,7 @@ for dump in "$obs_out/tr-dumps"/*.trace.json; do
     python3 -m json.tool "$dump" > /dev/null
 done
 
-echo "==> campaign smoke: gate passes, interrupt + resume is byte-identical, ledger parses"
+stage "campaign smoke: gate passes, interrupt + resume is byte-identical, ledger parses"
 # One uninterrupted run (the gate FAILing would exit nonzero here), then
 # the same campaign executed as two interrupted runs against a checkpoint
 # ledger plus a resuming run — stdout must match the one-shot run byte for
@@ -110,13 +128,15 @@ diff <(sed "s|$obs_out/camp-oneshot|CSV|" "$obs_out/camp-oneshot.txt") \
      <(sed "s|$obs_out/camp-resumed|CSV|" "$obs_out/camp-resumed.txt")
 ledger_dir=("$obs_out"/camp-ledger/campaign-*)
 test "$(ls "${ledger_dir[0]}"/shard-*.ckpt | wc -l)" -eq 4
-head -n 1 "${ledger_dir[0]}"/shard-0000.ckpt | grep -q '^vstream-campaign-shard v1$'
+head -n 1 "${ledger_dir[0]}"/shard-0000.ckpt | grep -q '^vstream-campaign-shard v2$'
 grep -q '^gate PASS$' "${ledger_dir[0]}/summary.txt"
 
-echo "==> packed-format roundtrip (release mode: checked unpack corruption paths)"
+stage "packed-format roundtrip (release mode: checked unpack corruption paths)"
 cargo test --offline --release --quiet -p vstream-capture
 
-echo "==> bench smoke (quick mode, no JSON ledger)"
+stage "bench smoke (quick mode, no JSON ledger)"
 cargo bench --offline -p vstream-bench --bench substrates -- --quick
 
+stage_end
+echo "total: $SECONDS s"
 echo "OK: build, tests, determinism, committed results, metrics neutrality, streaming memory, ext-qoe determinism, trace neutrality, campaign smoke, roundtrip, and bench smoke all passed"
